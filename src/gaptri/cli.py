@@ -7,8 +7,10 @@ IO, or parse error. Identical invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -262,8 +264,23 @@ def _cell(value: int | None) -> str:
 
 
 def _write_out(path: str | None, content: str) -> None:
-    if path:
-        Path(path).write_text(content, encoding="utf-8")
+    # Write beside the target, then rename over it: the target holds either
+    # its old bytes or the whole new report, never a partial one.
+    if not path:
+        return
+    target = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(content)
+        # mkstemp creates the file 0600; give it the mode a plain open would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, target)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def _load_triangle(args: argparse.Namespace) -> CoefficientTriangle:

@@ -9,6 +9,11 @@ Models serialize to a single line, grammar::
     gap<=<c|n/2|inf>; type=<parity-paper|affine(a,b)|even(a,b)/odd(a,b)>; bcount=<min..max|*>
 
 e.g. ``gap<=1; type=parity-paper; bcount=*`` for the canonical model.
+
+Type histograms come from the closed-form gap/B-count census (n sequences
+with gap 0, and (n - g) * C(g - 1, b - 2) with gap g >= 1 and b B's), in
+O(n) per row. ``valid_set`` lists sequences by scanning all 2**n codes,
+so it shares the enumeration ceiling MAX_N = 30 with ``enumerate_all``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .errors import InvalidSequenceError, ModelParseError
 from .sequences import (
@@ -185,30 +191,35 @@ def valid_set(model: ModelSpec, n: int, *, cap: int = MAX_N) -> list[BinarySeque
     return [BinarySequence(n, code) for code in codes]
 
 
-@lru_cache(maxsize=64)
-def _gap_bcount_table(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    # Joint ((gap, b_count) -> count) census of every length-n sequence with
-    # >= 1 B; one exhaustive scan shared by all models at this length.
-    counts: dict[tuple[int, int], int] = {}
-    for code in range(1, 1 << n):
-        key = (code.bit_length() - (code & -code).bit_length(), code.bit_count())
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
+@lru_cache(maxsize=256)
+def _gap_weights(n: int, b_count: tuple[int, int] | None) -> tuple[int, ...]:
+    # Entry g (0 <= g < n) counts the length-n sequences with gap g whose
+    # B-count lies in the window (any B-count when None). Closed-form census:
+    # a gap-0 sequence is one B at one of n places; a gap-g sequence has its
+    # outer B's at one of n - g places and g - 1 free inner symbols, so
+    # (n - g) * C(g - 1, b - 2) of them carry b B's. Memoised per
+    # (n, window) because a search asks for the same pair thousands of times.
+    lo, hi = b_count or (1, n)
+    weights = [n if lo <= 1 <= hi else 0]
+    for g in range(1, n):
+        inner = range(max(lo - 2, 0), min(hi - 2, g - 1) + 1)
+        weights.append((n - g) * sum(comb(g - 1, j) for j in inner))
+    return tuple(weights)
 
 
 def type_histogram(model: ModelSpec, n: int, *, cap: int = MAX_N) -> TypeHistogram:
-    """Counts of valid length-n sequences per assigned type, zero counts omitted."""
+    """Counts of valid length-n sequences per assigned type, zero counts omitted.
+
+    Summed from the closed-form gap census in O(n), without visiting any
+    sequence; ``cap`` bounds n as for the enumerating functions.
+    """
     check_enumerable(n, cap)
     limit = resolve_threshold(model.gap_threshold, n)
-    bounds = model.b_count
     counts: dict[int, int] = {}
-    for (gap, b_count), weight in _gap_bcount_table(n):
-        if gap > limit:
-            continue
-        if bounds is not None and not bounds[0] <= b_count <= bounds[1]:
-            continue
-        k = type_for_gap(model, n, gap)
-        counts[k] = counts.get(k, 0) + weight
+    for gap, weight in enumerate(_gap_weights(n, model.b_count)[: limit + 1]):
+        if weight:
+            k = type_for_gap(model, n, gap)
+            counts[k] = counts.get(k, 0) + weight
     return TypeHistogram(dict(sorted(counts.items())), n)
 
 

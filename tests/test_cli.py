@@ -1,3 +1,6 @@
+import errno
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +11,7 @@ from gaptri import embedded_half_triangle, format_triangle
 from gaptri.cli import main
 
 BFILE_FIXTURE = str(Path(__file__).parent / "data" / "b223168_rows_1_9.txt")
+SEARCH_GOLDEN = Path(__file__).parent / "golden" / "search_default_rows_1_4.tsv"
 
 TABLE_N2 = """\
 sequence  has_B  first_B  last_B  gap  gap<=1?  k=2-gap  valid?
@@ -229,6 +233,61 @@ class TestIngest:
         code, _, err = run_cli(capsys, "ingest", "--bfile", BFILE_FIXTURE)
         assert code == 2
         assert "--row-rule" in err
+
+
+class TestOutFile:
+    def test_search_out_matches_golden(self, capsys, tmp_path):
+        out_path = tmp_path / "search.tsv"
+        code, _, _ = run_cli(capsys, "search", "--rows", "1..4", "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == SEARCH_GOLDEN.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["search.tsv"]
+
+    def test_replaces_longer_file_with_plain_mode(self, capsys, tmp_path):
+        out_path = tmp_path / "report.txt"
+        out_path.write_text("stale\n" * 100, encoding="utf-8")
+        code, _, _ = run_cli(capsys, "obstruct", "--rows", "4", "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text(encoding="utf-8") == (
+            "row=4 provided=2 required=3 obstructed=true\n"
+        )
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    @pytest.mark.parametrize("stage", ["write", "replace"])
+    def test_failed_write_keeps_old_target(self, capsys, tmp_path, monkeypatch, stage):
+        out_path = tmp_path / "report.txt"
+        out_path.write_bytes(b"old report\n")
+        disk_full = OSError(errno.ENOSPC, "No space left on device")
+        if stage == "write":
+            real_fdopen = os.fdopen
+
+            def fdopen_that_fills_up(fd, *args, **kwargs):
+                handle = real_fdopen(fd, *args, **kwargs)
+                real_write = handle.write
+
+                def write(text):
+                    real_write(text[: len(text) // 2])
+                    raise disk_full
+
+                handle.write = write
+                return handle
+
+            monkeypatch.setattr(os, "fdopen", fdopen_that_fills_up)
+        else:
+
+            def failing_replace(src, dst):
+                raise disk_full
+
+            monkeypatch.setattr(os, "replace", failing_replace)
+        code, out, err = run_cli(capsys, "verify", "--rows", "1..4", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "No space left on device" in err
+        assert out_path.read_bytes() == b"old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
 class TestUsage:

@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaptri import (
     Affine,
@@ -24,6 +26,7 @@ from gaptri import (
     type_of,
     valid_set,
 )
+from gaptri.model import _gap_weights
 
 
 def string_histogram(model, n):
@@ -56,6 +59,32 @@ def string_histogram(model, n):
             k = a * gap + b
         counts[k] = counts.get(k, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def scan_census(n):
+    # Oracle for the closed-form census: {(gap, b_count): count} over every
+    # length-n sequence with at least one B, by scanning all 2**n codes.
+    counts = {}
+    for code in range(1, 1 << n):
+        key = (code.bit_length() - (code & -code).bit_length(), code.bit_count())
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+COEFFICIENT = st.integers(-3, 3)
+THRESHOLDS = st.one_of(st.builds(Constant, st.integers(0, 12)), st.just(HalfFloor()), st.just(Unbounded()))
+TYPE_MAPS = st.one_of(
+    st.just(ParityFlip()),
+    st.builds(Affine, COEFFICIENT, COEFFICIENT),
+    st.builds(
+        EvenOddAffine, st.tuples(COEFFICIENT, COEFFICIENT), st.tuples(COEFFICIENT, COEFFICIENT)
+    ),
+)
+B_COUNTS = st.one_of(
+    st.none(),
+    st.tuples(st.integers(1, 12), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1])),
+)
+MODELS = st.builds(ModelSpec, THRESHOLDS, TYPE_MAPS, B_COUNTS)
 
 
 SAMPLE_MODELS = [
@@ -186,6 +215,32 @@ class TestTypeHistogram:
             gap = gap_statistics(seq).gap
             k = type_of(model, seq)
             assert by_gap.setdefault(gap, k) == k
+
+
+class TestClosedFormCensus:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_weights_equal_scan(self, n):
+        census = scan_census(n)
+        windows = [None, (1, 1), (1, 2), (2, 2), (3, 5), (n, n), (n + 1, n + 1), (1, n + 5)]
+        for window in windows:
+            lo, hi = window or (1, n)
+            expected = tuple(
+                sum(c for (gap, b), c in census.items() if gap == g and lo <= b <= hi)
+                for g in range(n)
+            )
+            assert _gap_weights(n, window) == expected, window
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(model=MODELS, n=st.integers(1, 10))
+    def test_histogram_equals_string_oracle(self, model, n):
+        assert type_histogram(model, n).counts == string_histogram(model, n)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(type_map=TYPE_MAPS)
+    def test_unrestricted_counts_sum_to_all_nonempty(self, type_map):
+        model = ModelSpec(Unbounded(), type_map)
+        for n in range(1, 31):
+            assert sum(type_histogram(model, n).counts.values()) == 2**n - 1
 
 
 class TestMaxTypeCount:
