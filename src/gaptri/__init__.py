@@ -28,6 +28,7 @@ from .model import (
     ModelSpec,
     ParityFlip,
     TypeHistogram,
+    TypeMap,
     Unbounded,
     canonical_model,
     format_model,

@@ -16,11 +16,8 @@ from typing import Callable
 
 from .errors import GaptriError
 from .model import (
-    Affine,
-    Constant,
-    HalfFloor,
     ModelSpec,
-    ParityFlip,
+    Unbounded,
     format_model,
     is_valid,
     parse_model,
@@ -132,21 +129,15 @@ def _render(headers: list[str], rows: list[list[str]], fmt: str) -> str:
 
 
 def _threshold_text(model: ModelSpec, n: int) -> str:
-    if isinstance(model.gap_threshold, Constant):
-        return str(model.gap_threshold.c)
-    if isinstance(model.gap_threshold, HalfFloor):
-        return str(n // 2)
-    return "inf"
+    if isinstance(model.gap_threshold, Unbounded):
+        return "inf"
+    return str(resolve_threshold(model.gap_threshold, n))
 
 
 def _k_header(model: ModelSpec, n: int) -> str:
-    tm = model.type_map
-    if isinstance(tm, ParityFlip):
+    if model.type_map.name == "parity-paper":
         return "k=2-gap" if n % 2 == 0 else "k=gap+1"
-    if isinstance(tm, Affine):
-        a, b = tm.a, tm.b
-    else:
-        a, b = tm.even if n % 2 == 0 else tm.odd
+    a, b = model.type_map.pair(n)
     return f"k={a}*gap{b:+d}"
 
 

@@ -4,6 +4,11 @@ A model has three independent knobs: a gap threshold deciding which sequences
 count as valid, a type map sending (length parity, gap) to a column index k,
 and an optional bound on how many B symbols a valid sequence may carry.
 
+A type map is one affine pair (a, b) for even n and one for odd n, giving
+k = a*gap + b, together with its spelling in the text form. The spelling is
+kept because different spellings can share both pairs: ``parity-paper`` and
+``even(-1,2)/odd(1,1)`` assign the same types but are distinct models.
+
 Models serialize to a single line, grammar::
 
     gap<=<c|n/2|inf>; type=<parity-paper|affine(a,b)|even(a,b)/odd(a,b)>; bcount=<min..max|*>
@@ -57,27 +62,35 @@ Threshold = Constant | HalfFloor | Unbounded
 
 
 @dataclass(frozen=True)
-class ParityFlip:
-    """k = 2 - gap for even n, gap + 1 for odd n (wire name ``parity-paper``)."""
+class TypeMap:
+    """k = a*gap + b, with (a, b) = ``even`` for even n and ``odd`` for odd n.
 
-
-@dataclass(frozen=True)
-class Affine:
-    """k = a*gap + b for every length."""
-
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class EvenOddAffine:
-    """Separate affine pairs (a, b) for even and odd lengths."""
+    ``name`` is the wire spelling ``format_model`` prints; build instances
+    through ``ParityFlip``, ``Affine`` or ``EvenOddAffine`` so it is normalised.
+    """
 
     even: tuple[int, int]
     odd: tuple[int, int]
+    name: str
+
+    def pair(self, n: int) -> tuple[int, int]:
+        return self.even if n % 2 == 0 else self.odd
 
 
-TypeMap = ParityFlip | Affine | EvenOddAffine
+def ParityFlip() -> TypeMap:
+    """k = 2 - gap for even n, gap + 1 for odd n (wire name ``parity-paper``)."""
+    return TypeMap((-1, 2), (1, 1), "parity-paper")
+
+
+def Affine(a: int, b: int) -> TypeMap:
+    """k = a*gap + b for every length."""
+    return TypeMap((a, b), (a, b), f"affine({a},{b})")
+
+
+def EvenOddAffine(even: tuple[int, int], odd: tuple[int, int]) -> TypeMap:
+    """Separate affine pairs (a, b) for even and odd lengths."""
+    (ea, eb), (oa, ob) = even, odd
+    return TypeMap((ea, eb), (oa, ob), f"even({ea},{eb})/odd({oa},{ob})")
 
 
 @dataclass(frozen=True)
@@ -135,13 +148,7 @@ def type_for_gap(model: ModelSpec, n: int, gap: int) -> int:
     Total over all gaps; validity is not consulted, so callers can tabulate
     the would-be type of excluded sequences as well.
     """
-    tm = model.type_map
-    if isinstance(tm, ParityFlip):
-        return 2 - gap if n % 2 == 0 else gap + 1
-    if isinstance(tm, Affine):
-        a, b = tm.a, tm.b
-    else:
-        a, b = tm.even if n % 2 == 0 else tm.odd
+    a, b = model.type_map.pair(n)
     return a * gap + b
 
 
@@ -237,15 +244,8 @@ def format_model(model: ModelSpec) -> str:
         gap = "n/2"
     else:
         gap = "inf"
-    tm = model.type_map
-    if isinstance(tm, ParityFlip):
-        kind = "parity-paper"
-    elif isinstance(tm, Affine):
-        kind = f"affine({tm.a},{tm.b})"
-    else:
-        kind = f"even({tm.even[0]},{tm.even[1]})/odd({tm.odd[0]},{tm.odd[1]})"
     bcount = "*" if model.b_count is None else f"{model.b_count[0]}..{model.b_count[1]}"
-    return f"gap<={gap}; type={kind}; bcount={bcount}"
+    return f"gap<={gap}; type={model.type_map.name}; bcount={bcount}"
 
 
 _MODEL_RE = re.compile(

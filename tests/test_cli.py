@@ -69,6 +69,24 @@ class TestEnumerate:
         assert lines[0] == "sequence\thas_B\tfirst_B\tlast_B\tgap\tgap<=1?\tk=2-gap\tvalid?"
         assert lines[2] == "RB\tYes\t2\t2\t0\tYes\t2\tYes"
 
+    @pytest.mark.parametrize(
+        "type_map, even_header, odd_header",
+        [
+            ("affine(1,1)", "k=1*gap+1", "k=1*gap+1"),
+            ("affine(-1,2)", "k=-1*gap+2", "k=-1*gap+2"),
+            ("even(-1,2)/odd(2,-3)", "k=-1*gap+2", "k=2*gap-3"),
+            ("parity-paper", "k=2-gap", "k=gap+1"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_k_header(self, capsys, type_map, even_header, odd_header, n):
+        model = f"gap<=1; type={type_map}; bcount=*"
+        code, out, _ = run_cli(
+            capsys, "enumerate", "-n", str(n), "--model", model, "--format", "tsv"
+        )
+        assert code == 0
+        assert out.splitlines()[0].split("\t")[6] == (even_header if n % 2 == 0 else odd_header)
+
     def test_without_model_lists_gap_columns_only(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "-n", "2")
         assert code == 0

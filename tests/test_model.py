@@ -50,10 +50,8 @@ def string_histogram(model, n):
             if not lo <= len(positions) <= hi:
                 continue
         tm = model.type_map
-        if isinstance(tm, ParityFlip):
+        if tm.name == "parity-paper":
             k = 2 - gap if n % 2 == 0 else gap + 1
-        elif isinstance(tm, Affine):
-            k = tm.a * gap + tm.b
         else:
             a, b = tm.even if n % 2 == 0 else tm.odd
             k = a * gap + b
@@ -285,6 +283,21 @@ class TestTextForm:
     )
     def test_round_trip(self, model):
         assert parse_model(format_model(model)) == model
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(model=MODELS)
+    def test_round_trip_arbitrary_models(self, model):
+        assert parse_model(format_model(model)) == model
+
+    def test_spelling_is_part_of_identity(self):
+        # Same affine pairs, different spellings: distinct models.
+        assert ParityFlip() != EvenOddAffine((-1, 2), (1, 1))
+        assert Affine(1, 1) != EvenOddAffine((1, 1), (1, 1))
+
+    def test_parse_normalises_spelling(self):
+        model = parse_model("gap<=1; type=affine(01,-0); bcount=*")
+        assert model.type_map == Affine(1, 0)
+        assert format_model(model) == "gap<=1; type=affine(1,0); bcount=*"
 
     @pytest.mark.parametrize(
         "text",

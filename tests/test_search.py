@@ -3,6 +3,7 @@ import pytest
 from gaptri import (
     Affine,
     Constant,
+    EvenOddAffine,
     ModelSpec,
     NotAFailureError,
     ParityFlip,
@@ -13,6 +14,7 @@ from gaptri import (
     evaluate_candidate,
     result_record,
     run_search,
+    type_histogram,
     valid_set,
     verify_row,
     witness,
@@ -24,6 +26,36 @@ class TestDefaultFamily:
         family = default_family()
         assert family.size == 6216
         assert sum(1 for _ in family.candidates()) == 6216
+
+    def test_duplicate_type_maps(self):
+        # Three members spell an affine pair that another member also spells.
+        family = default_family()
+        by_pairs = {}
+        for type_map in family.type_maps:
+            by_pairs.setdefault((type_map.even, type_map.odd), []).append(type_map.name)
+        duplicates = sorted(names for names in by_pairs.values() if len(names) > 1)
+        assert duplicates == [
+            ["affine(-1,2)", "even(-1,2)/odd(-1,2)"],
+            ["affine(1,1)", "even(1,1)/odd(1,1)"],
+            ["parity-paper", "even(-1,2)/odd(1,1)"],
+        ]
+
+    @pytest.mark.parametrize(
+        "spelled, paired",
+        [
+            (ParityFlip(), EvenOddAffine((-1, 2), (1, 1))),
+            (Affine(1, 1), EvenOddAffine((1, 1), (1, 1))),
+            (Affine(-1, 2), EvenOddAffine((-1, 2), (-1, 2))),
+        ],
+    )
+    def test_duplicate_type_maps_have_equal_histograms(self, spelled, paired):
+        family = default_family()
+        for threshold in family.thresholds:
+            for b_count in family.b_count_options:
+                for n in range(1, 15):
+                    assert type_histogram(ModelSpec(threshold, spelled, b_count), n) == (
+                        type_histogram(ModelSpec(threshold, paired, b_count), n)
+                    )
 
     def test_contains_canonical(self):
         assert canonical_model() in set(default_family().candidates())
