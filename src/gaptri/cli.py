@@ -12,20 +12,21 @@ import re
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import GaptriError
 from .model import (
     ModelSpec,
     Unbounded,
+    _gap_weights,
     format_model,
-    is_valid,
     parse_model,
     resolve_threshold,
     type_for_gap,
+    valid_codes,
 )
 from .search import default_family, result_record, run_search, witness
-from .sequences import MAX_N, count_by_gap, enumerate_all, gap_statistics
+from .sequences import MAX_N, check_enumerable
 from .triangle import (
     CoefficientTriangle,
     embedded_half_triangle,
@@ -104,11 +105,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 1 <= args.cap <= MAX_N:
             raise ValueError(f"--cap must be within 1..{MAX_N}")
-        text, code = _COMMANDS[args.command](args)
+        chunks, code = _COMMANDS[args.command](args)
     except (GaptriError, ValueError, OSError) as exc:
         print(f"gaptri: error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
+    # Commands validate everything before they return, so an error above
+    # leaves stdout empty; what is written here is the report itself.
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`gaptri enumerate ... | head`): end
+        # quietly, with stdout on devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 
@@ -116,16 +126,22 @@ def run() -> None:
     raise SystemExit(main())
 
 
-def _render(headers: list[str], rows: list[list[str]], fmt: str) -> str:
-    if fmt == "tsv":
-        return "".join("\t".join(cells) + "\n" for cells in [headers] + rows)
+def _widths(headers: list[str], rows: Iterable[list[str]]) -> list[int]:
     widths = [len(h) for h in headers]
     for cells in rows:
         widths = [max(w, len(cell)) for w, cell in zip(widths, cells)]
-    lines = []
-    for cells in [headers] + rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return widths
+
+
+def _line(cells: list[str], widths: list[int], fmt: str) -> str:
+    if fmt == "tsv":
+        return "\t".join(cells) + "\n"
+    return "  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip() + "\n"
+
+
+def _render(headers: list[str], rows: list[list[str]], fmt: str) -> str:
+    widths = _widths(headers, rows)
+    return "".join(_line(cells, widths, fmt) for cells in [headers] + rows)
 
 
 def _threshold_text(model: ModelSpec, n: int) -> str:
@@ -141,11 +157,17 @@ def _k_header(model: ModelSpec, n: int) -> str:
     return f"k={a}*gap{b:+d}"
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
+#: Bytes per write while streaming a listing; rows are never cut.
+_CHUNK_BYTES = 1 << 16
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
+    # Everything that can fail is checked here, before the first row is made.
     model = parse_model(args.model) if args.model else None
     if args.valid_only and model is None:
         raise ValueError("--valid-only requires --model")
     n = args.n
+    check_enumerable(n, args.cap)
     headers = ["sequence", "has_B"]
     show_bcount = model is not None and model.b_count is not None
     if show_bcount:
@@ -154,39 +176,72 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     if model is not None:
         headers += [f"gap<={_threshold_text(model, n)}?", _k_header(model, n), "valid?"]
         limit = resolve_threshold(model.gap_threshold, n)
-    body = []
-    for seq in enumerate_all(n, cap=args.cap):
-        stats = gap_statistics(seq)
-        valid = model is not None and is_valid(model, seq)
-        if args.valid_only and not valid:
-            continue
-        cells = [str(seq), "Yes" if stats else "No"]
-        if show_bcount:
-            cells.append(str(seq.b_count))
-        if stats is None:
-            cells += ["--", "--", "--"]
-        else:
-            cells += [str(stats.first_b), str(stats.last_b), str(stats.gap)]
+        lo, hi = model.b_count or (1, n)
+
+    def cells(code: int) -> list[str]:
+        # Every cell after the sequence depends only on the highest and
+        # lowest set bits and, when a B-count window is set, the bit count.
+        if code == 0:
+            row = ["No"] + (["0"] if show_bcount else []) + ["--", "--", "--"]
+            return row + (["--", "--", "No"] if model is not None else [])
+        high, low = code.bit_length(), (code & -code).bit_length()
+        gap = high - low
+        row = ["Yes"] + ([str(code.bit_count())] if show_bcount else [])
+        row += [str(n - high + 1), str(n - low + 1), str(gap)]
         if model is not None:
-            if stats is None:
-                cells += ["--", "--", "No"]
-            else:
-                cells += [
-                    "Yes" if stats.gap <= limit else "No",
-                    str(type_for_gap(model, n, stats.gap)),
-                    "Yes" if valid else "No",
-                ]
-        body.append(cells)
-    return _render(headers, body, args.format), 0
+            valid = gap <= limit and lo <= code.bit_count() <= hi
+            row += [
+                "Yes" if gap <= limit else "No",
+                str(type_for_gap(model, n, gap)),
+                "Yes" if valid else "No",
+            ]
+        return row
+
+    # Column widths before any row: a row's cells have the widths of the
+    # row with the same gap and B-count whose last B is at position n, so one
+    # such row per (gap, B-count) pair that the listing contains suffices.
+    samples = [] if args.valid_only else [0]
+    for gap in range(n):
+        for b in range(2 if gap else 1, gap + 2):
+            if not args.valid_only or (gap <= limit and lo <= b <= hi):
+                samples.append((1 << gap) | ((1 << (b - 1)) - 1))
+    spelling = f"0{n}b"
+    widths = _widths(
+        headers, ([format(c, spelling).translate(_SYMBOLS)] + cells(c) for c in samples)
+    )
+    codes = valid_codes(model, n) if args.valid_only else range(1 << n)
+
+    def chunks() -> Iterator[str]:
+        # The text after the sequence cell, its padding and separator
+        # included, is cached by the bits it depends on: O(n**3) keys at most.
+        lead = "\t" if args.format == "tsv" else " " * (widths[0] - n) + "  "
+        tails: dict[tuple[int, int, int], str] = {}
+        per_chunk = max(1, _CHUNK_BYTES // (sum(widths) + 2 * len(widths)))
+        chunk = [_line(headers, widths, args.format)]
+        for code in codes:
+            key = (code.bit_length(), code & -code, code.bit_count() if show_bcount else 0)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = lead + _line(cells(code), widths[1:], args.format)
+            chunk.append(format(code, spelling).translate(_SYMBOLS) + tail)
+            if len(chunk) == per_chunk:
+                yield "".join(chunk)
+                chunk = []
+        yield "".join(chunk)
+
+    return chunks(), 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> tuple[str, int]:
-    counts = count_by_gap(args.n, cap=args.cap)
-    body = [[str(gap), str(count)] for gap, count in counts.items()]
-    return _render(["gap", "count"], body, args.format), 0
+_SYMBOLS = str.maketrans("01", "RB")
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_stats(args: argparse.Namespace) -> tuple[list[str], int]:
+    check_enumerable(args.n, args.cap)
+    body = [[str(gap), str(count)] for gap, count in enumerate(_gap_weights(args.n, None))]
+    return [_render(["gap", "count"], body, args.format)], 0
+
+
+def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     model = parse_model(args.model)
     triangle = _load_triangle(args)
     lo, hi = _rows_range(args.rows, triangle)
@@ -201,10 +256,10 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         ) or "-"
         body.append([str(v.n), "yes" if v.matches else "no", predicted, target, detail])
     text = _render(["row", "match", "predicted", "target", "detail"], body, args.format)
-    return text, 0 if all(v.matches for v in verdicts) else 1
+    return [text], 0 if all(v.matches for v in verdicts) else 1
 
 
-def _cmd_obstruct(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_obstruct(args: argparse.Namespace) -> tuple[list[str], int]:
     model = parse_model(args.model)
     triangle = _load_triangle(args)
     lo, hi = _rows_range(args.rows, triangle)
@@ -214,10 +269,10 @@ def _cmd_obstruct(args: argparse.Namespace) -> tuple[str, int]:
         [str(r.n), str(r.provided_types), str(r.required_types), "yes" if r.obstructed else "no"]
         for r in reports
     ]
-    return _render(["row", "provided", "required", "obstructed"], body, args.format), 0
+    return [_render(["row", "provided", "required", "obstructed"], body, args.format)], 0
 
 
-def _cmd_search(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
     if args.family != "default":
         raise ValueError(f"unknown family {args.family!r}")
     triangle = _load_triangle(args)
@@ -238,16 +293,16 @@ def _cmd_search(args: argparse.Namespace) -> tuple[str, int]:
             [str(rank), format_model(result.model), str(result.score), matched, failure]
         )
     text = _render(["rank", "model", "score", "matched", "first_failure"], body, args.format)
-    return text, 0
+    return [text], 0
 
 
-def _cmd_ingest(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_ingest(args: argparse.Namespace) -> tuple[list[str], int]:
     triangle = _load_triangle(args)
     text = format_triangle(triangle)
     if args.out:
         _write_out(args.out, text)
-        return "", 0
-    return text, 0
+        return [], 0
+    return [text], 0
 
 
 def _cell(value: int | None) -> str:

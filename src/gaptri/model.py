@@ -18,7 +18,8 @@ e.g. ``gap<=1; type=parity-paper; bcount=*`` for the canonical model.
 Type histograms come from the closed-form gap/B-count census (n sequences
 with gap 0, and (n - g) * C(g - 1, b - 2) with gap g >= 1 and b B's), in
 O(n) per row. ``valid_set`` lists sequences by scanning all 2**n codes,
-so it shares the enumeration ceiling MAX_N = 30 with ``enumerate_all``.
+so it shares the enumeration ceiling MAX_N = 30 with ``enumerate_all``;
+``valid_codes`` generates the same codes in time proportional to their number.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import Iterator
 
 from .errors import InvalidSequenceError, ModelParseError
 from .sequences import (
@@ -196,6 +198,25 @@ def valid_set(model: ModelSpec, n: int, *, cap: int = MAX_N) -> list[BinarySeque
             and lo <= code.bit_count() <= hi
         ]
     return [BinarySequence(n, code) for code in codes]
+
+
+def valid_codes(model: ModelSpec, n: int) -> Iterator[int]:
+    """Codes of the valid length-n sequences, ascending (so in lexicographic
+    order), built from the first B rather than found by a scan.
+
+    For each highest set bit h, the other B's lie in the ``min(h, limit)``
+    bits just below it, so only codes within the gap threshold are visited;
+    a B-count window is then a filter. Does no length check: callers that
+    take n from outside bound it first (``check_enumerable``).
+    """
+    limit = resolve_threshold(model.gap_threshold, n)
+    lo, hi = model.b_count or (1, n)
+    for h in range(n):
+        top, shift = 1 << h, max(h - limit, 0)
+        for m in range(1 << min(h, limit)):
+            code = top | (m << shift)
+            if lo <= code.bit_count() <= hi:
+                yield code
 
 
 @lru_cache(maxsize=256)

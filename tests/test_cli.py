@@ -1,14 +1,30 @@
 import errno
+import io
 import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from gaptri import embedded_half_triangle, format_triangle
-from gaptri.cli import main
+from gaptri import (
+    count_by_gap,
+    default_family,
+    embedded_half_triangle,
+    enumerate_all,
+    format_triangle,
+    gap_statistics,
+    is_valid,
+    parse_model,
+    resolve_threshold,
+    type_for_gap,
+    valid_set,
+)
+from gaptri import cli
+from gaptri.cli import _k_header, _threshold_text, main
+from gaptri.model import valid_codes
 
 BFILE_FIXTURE = str(Path(__file__).parent / "data" / "b223168_rows_1_9.txt")
 SEARCH_GOLDEN = Path(__file__).parent / "golden" / "search_default_rows_1_4.tsv"
@@ -38,6 +54,64 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def oracle_render(headers, rows, fmt):
+    """The buffered table renderer: widths measured over every row."""
+    if fmt == "tsv":
+        return "".join("\t".join(cells) + "\n" for cells in [headers] + rows)
+    widths = [len(h) for h in headers]
+    for cells in rows:
+        widths = [max(w, len(cell)) for w, cell in zip(widths, cells)]
+    lines = []
+    for cells in [headers] + rows:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def oracle_enumerate(n, model_text, valid_only):
+    """Headers and rows of the buffered listing: one BinarySequence,
+    GapStatistics and is_valid per code of the 2**n scan."""
+    model = parse_model(model_text) if model_text else None
+    headers = ["sequence", "has_B"]
+    show_bcount = model is not None and model.b_count is not None
+    if show_bcount:
+        headers.append("#B")
+    headers += ["first_B", "last_B", "gap"]
+    if model is not None:
+        headers += [f"gap<={_threshold_text(model, n)}?", _k_header(model, n), "valid?"]
+        limit = resolve_threshold(model.gap_threshold, n)
+    body = []
+    for seq in enumerate_all(n):
+        stats = gap_statistics(seq)
+        valid = model is not None and is_valid(model, seq)
+        if valid_only and not valid:
+            continue
+        cells = [str(seq), "Yes" if stats else "No"]
+        if show_bcount:
+            cells.append(str(seq.b_count))
+        if stats is None:
+            cells += ["--", "--", "--"]
+        else:
+            cells += [str(stats.first_b), str(stats.last_b), str(stats.gap)]
+        if model is not None:
+            if stats is None:
+                cells += ["--", "--", "No"]
+            else:
+                cells += [
+                    "Yes" if stats.gap <= limit else "No",
+                    str(type_for_gap(model, n, stats.gap)),
+                    "Yes" if valid else "No",
+                ]
+        body.append(cells)
+    return headers, body
+
+
+GRID_THRESHOLDS = ["0", "1", "2", "3", "n/2", "inf"]
+GRID_TYPE_MAPS = [
+    "parity-paper", "affine(1,1)", "affine(-3,2)", "even(-1,2)/odd(2,-3)", "affine(12,-100)",
+]
+GRID_WINDOWS = ["*", "1..1", "1..2", "2..2", "3..5", "7..9", "2..20"]
 
 
 class TestEnumerate:
@@ -111,6 +185,90 @@ class TestEnumerate:
         assert code == 2
         assert "--valid-only" in err
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_streamed_listing_equals_buffered_oracle(self, capsys, monkeypatch, n):
+        # One parser for the whole grid: building it dominates small listings.
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        cases = [(None, False)] + [
+            (f"gap<={t}; type={tm}; bcount={w}", valid_only)
+            for t in GRID_THRESHOLDS
+            for tm in GRID_TYPE_MAPS
+            for w in GRID_WINDOWS
+            for valid_only in (False, True)
+        ]
+        for model, valid_only in cases:
+            headers, body = oracle_enumerate(n, model, valid_only)
+            for fmt in ("table", "tsv"):
+                argv = ["enumerate", "-n", str(n), "--format", fmt]
+                argv += ["--model", model] if model else []
+                argv += ["--valid-only"] if valid_only else []
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, err) == (0, ""), argv
+                assert out == oracle_render(headers, body, fmt), argv
+
+    def test_valid_only_is_output_sized(self, capsys):
+        started = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "enumerate", "-n", "30", "--model", "canonical", "--valid-only"
+        )
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 59
+        assert lines[1].split() == ["R" * 29 + "B", "Yes", "30", "30", "0", "Yes", "2", "Yes"]
+        assert lines[-1].split() == ["BB" + "R" * 28, "Yes", "1", "2", "1", "Yes", "1", "Yes"]
+        assert elapsed < 1.0
+
+    def test_rows_stream_in_bounded_writes(self, monkeypatch):
+        class Sink(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.sizes = []
+
+            def write(self, text):
+                self.sizes.append(len(text))
+                return super().write(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        model = "gap<=inf; type=affine(1,1); bcount=*"
+        assert main(["enumerate", "-n", "16", "--model", model]) == 0
+        assert len(sink.sizes) > 1
+        assert max(sink.sizes) <= 256 * 1024
+        assert sink.getvalue() == oracle_render(*oracle_enumerate(16, model, False), "table")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "-n", "31"],
+            ["enumerate", "-n", "5", "--cap", "4"],
+            ["enumerate", "-n", "2", "--valid-only"],
+            ["enumerate", "-n", "2", "--model", "gap<=x", "--valid-only"],
+        ],
+    )
+    def test_refused_listing_prints_nothing(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("gaptri: error: ")
+
+
+class TestValidCodes:
+    def test_equals_scan_for_every_family_model(self):
+        # Validity reads only the threshold and the B-count window, so one
+        # check per distinct pair covers every model of the family.
+        checked = set()
+        for model in default_family().candidates():
+            key = (model.gap_threshold, model.b_count)
+            if key in checked:
+                continue
+            checked.add(key)
+            for n in range(1, 13):
+                expected = [seq.code for seq in valid_set(model, n)]
+                assert list(valid_codes(model, n)) == expected, (model, n)
+        assert len(checked) > 1
+
 
 class TestStats:
     def test_n3(self, capsys):
@@ -122,6 +280,20 @@ class TestStats:
         code, out, _ = run_cli(capsys, "stats", "-n", "3", "--format", "tsv")
         assert code == 0
         assert out == "gap\tcount\n0\t3\n1\t2\n2\t2\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "tsv"])
+    def test_equals_scan(self, capsys, fmt):
+        for n in range(1, 19):
+            code, out, _ = run_cli(capsys, "stats", "-n", str(n), "--format", fmt)
+            body = [[str(gap), str(count)] for gap, count in count_by_gap(n).items()]
+            assert (code, out) == (0, oracle_render(["gap", "count"], body, fmt)), n
+
+    def test_n30_is_output_sized(self, capsys):
+        code, out, _ = run_cli(capsys, "stats", "-n", "30")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 31
+        assert lines[-1].split() == ["29", str(2**28)]
 
 
 class TestVerify:
@@ -346,3 +518,15 @@ class TestModuleEntryPoint:
         assert result.returncode == 0
         assert result.stderr == ""
         assert result.stdout.count("yes") == 3
+
+    def test_reader_closing_early_ends_listing_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gaptri", "enumerate", "-n", "16"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().split()[0] == b"sequence"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == b""
