@@ -50,10 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model text or 'canonical'")
     p.add_argument("--valid-only", action="store_true", help="list only valid sequences")
     _add_common(p)
+    _add_cap(p)
 
     p = sub.add_parser("stats", help="gap distribution over all length-n sequences")
     p.add_argument("-n", type=int, required=True, help="sequence length")
     _add_common(p)
+    _add_cap(p)
 
     p = sub.add_parser("verify", help="check model histograms against triangle rows")
     p.add_argument("--model", default="canonical", help="model text or 'canonical'")
@@ -87,7 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("table", "tsv"), default="table")
+
+
+def _add_cap(p: argparse.ArgumentParser) -> None:
+    # Only the commands that list or scan sequences are bounded in n.
     p.add_argument("--cap", type=int, default=MAX_N, help=f"enumeration cap, at most {MAX_N}")
+
+
+def _check_cap(cap: int) -> None:
+    if not 1 <= cap <= MAX_N:
+        raise ValueError(f"--cap must be within 1..{MAX_N}")
 
 
 def _add_triangle_source(p: argparse.ArgumentParser) -> None:
@@ -103,8 +114,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if not 1 <= args.cap <= MAX_N:
-            raise ValueError(f"--cap must be within 1..{MAX_N}")
         chunks, code = _COMMANDS[args.command](args)
     except (GaptriError, ValueError, OSError) as exc:
         print(f"gaptri: error: {exc}", file=sys.stderr)
@@ -163,6 +172,7 @@ _CHUNK_BYTES = 1 << 16
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     # Everything that can fail is checked here, before the first row is made.
+    _check_cap(args.cap)
     model = parse_model(args.model) if args.model else None
     if args.valid_only and model is None:
         raise ValueError("--valid-only requires --model")
@@ -236,6 +246,7 @@ _SYMBOLS = str.maketrans("01", "RB")
 
 
 def _cmd_stats(args: argparse.Namespace) -> tuple[list[str], int]:
+    _check_cap(args.cap)
     check_enumerable(args.n, args.cap)
     body = [[str(gap), str(count)] for gap, count in enumerate(_gap_weights(args.n, None))]
     return [_render(["gap", "count"], body, args.format)], 0
@@ -245,7 +256,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     model = parse_model(args.model)
     triangle = _load_triangle(args)
     lo, hi = _rows_range(args.rows, triangle)
-    verdicts = [verify_row(model, triangle, n, cap=args.cap) for n in range(lo, hi + 1)]
+    verdicts = [verify_row(model, triangle, n) for n in range(lo, hi + 1)]
     _write_out(args.out, "".join(verdict_record(v) + "\n" for v in verdicts))
     body = []
     for v in verdicts:
@@ -263,7 +274,7 @@ def _cmd_obstruct(args: argparse.Namespace) -> tuple[list[str], int]:
     model = parse_model(args.model)
     triangle = _load_triangle(args)
     lo, hi = _rows_range(args.rows, triangle)
-    reports = [obstruction_report(model, triangle, n, cap=args.cap) for n in range(lo, hi + 1)]
+    reports = [obstruction_report(model, triangle, n) for n in range(lo, hi + 1)]
     _write_out(args.out, "".join(obstruction_record(r) + "\n" for r in reports))
     body = [
         [str(r.n), str(r.provided_types), str(r.required_types), "yes" if r.obstructed else "no"]
@@ -278,7 +289,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
     triangle = _load_triangle(args)
     lo, hi = _rows_range(args.rows, triangle)
     rows = range(lo, hi + 1)
-    results = run_search(default_family(), triangle, rows, cap=args.cap)
+    results = run_search(default_family(), triangle, rows)
     _write_out(args.out, "".join(result_record(r) + "\n" for r in results))
     body = []
     for rank, result in enumerate(results[: max(args.top, 0)], start=1):
@@ -286,9 +297,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
         failure = "-"
         unmatched = [n for n in rows if n not in result.matched_rows]
         if unmatched:
-            failure = f"row {unmatched[0]}: " + witness(
-                result.model, triangle, unmatched[0], cap=args.cap
-            )
+            failure = f"row {unmatched[0]}: " + witness(result.model, triangle, unmatched[0])
         body.append(
             [str(rank), format_model(result.model), str(result.score), matched, failure]
         )

@@ -16,10 +16,11 @@ Models serialize to a single line, grammar::
 e.g. ``gap<=1; type=parity-paper; bcount=*`` for the canonical model.
 
 Type histograms come from the closed-form gap/B-count census (n sequences
-with gap 0, and (n - g) * C(g - 1, b - 2) with gap g >= 1 and b B's), in
-O(n) per row. ``valid_set`` lists sequences by scanning all 2**n codes,
-so it shares the enumeration ceiling MAX_N = 30 with ``enumerate_all``;
-``valid_codes`` generates the same codes in time proportional to their number.
+with gap 0, and (n - g) * C(g - 1, b - 2) with gap g >= 1 and b B's), so
+they accept any length n >= 1. ``valid_set`` lists sequences by scanning all
+2**n codes, so it shares the enumeration ceiling MAX_N = 30 with
+``enumerate_all``; ``valid_codes`` generates the same codes in time
+proportional to their number.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Iterator
 
 from .errors import InvalidSequenceError, ModelParseError
@@ -206,42 +206,54 @@ def valid_codes(model: ModelSpec, n: int) -> Iterator[int]:
 
     For each highest set bit h, the other B's lie in the ``min(h, limit)``
     bits just below it, so only codes within the gap threshold are visited;
-    a B-count window is then a filter. Does no length check: callers that
-    take n from outside bound it first (``check_enumerable``).
+    runs of inner bits outside the B-count window are stepped over whole.
+    Does no length check: callers that take n from outside bound it first
+    (``check_enumerable``).
     """
     limit = resolve_threshold(model.gap_threshold, n)
     lo, hi = model.b_count or (1, n)
     for h in range(n):
         top, shift = 1 << h, max(h - limit, 0)
-        for m in range(1 << min(h, limit)):
-            code = top | (m << shift)
-            if lo <= code.bit_count() <= hi:
-                yield code
+        m, end = 0, 1 << min(h, limit)
+        while m < end:
+            count = m.bit_count() + 1
+            if count > hi:
+                m += m & -m  # codes before the carry only add B's
+            elif count < lo:
+                m |= m + 1  # first later code with more B's than m
+            else:
+                yield top | (m << shift)
+                m += 1
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
 def _gap_weights(n: int, b_count: tuple[int, int] | None) -> tuple[int, ...]:
     # Entry g (0 <= g < n) counts the length-n sequences with gap g whose
     # B-count lies in the window (any B-count when None). Closed-form census:
     # a gap-0 sequence is one B at one of n places; a gap-g sequence has its
     # outer B's at one of n - g places and g - 1 free inner symbols, so
-    # (n - g) * C(g - 1, b - 2) of them carry b B's. Memoised per
-    # (n, window) because a search asks for the same pair thousands of times.
+    # (n - g) * C(g - 1, b - 2) of them carry b B's. ``row`` is Pascal's row
+    # C(g - 1, 0..g - 1), carried from g to g + 1 by one pass of additions,
+    # so a call costs O(n**2) additions. The memo is unbounded: a search asks
+    # for every (n, window) pair of its rows thousands of times, and a bound
+    # smaller than that set evicts each entry before its reuse.
     lo, hi = b_count or (1, n)
     weights = [n if lo <= 1 <= hi else 0]
+    row = [1]
     for g in range(1, n):
-        inner = range(max(lo - 2, 0), min(hi - 2, g - 1) + 1)
-        weights.append((n - g) * sum(comb(g - 1, j) for j in inner))
+        weights.append((n - g) * sum(row[max(lo - 2, 0) : hi - 1]))
+        row = [1, *map(sum, zip(row, row[1:])), 1]
     return tuple(weights)
 
 
-def type_histogram(model: ModelSpec, n: int, *, cap: int = MAX_N) -> TypeHistogram:
+def type_histogram(model: ModelSpec, n: int) -> TypeHistogram:
     """Counts of valid length-n sequences per assigned type, zero counts omitted.
 
-    Summed from the closed-form gap census in O(n), without visiting any
-    sequence; ``cap`` bounds n as for the enumerating functions.
+    Summed from the closed-form gap census without visiting any sequence,
+    so any n >= 1 is accepted.
     """
-    check_enumerable(n, cap)
+    if n < 1:
+        raise ValueError("sequence length must be >= 1")
     limit = resolve_threshold(model.gap_threshold, n)
     counts: dict[int, int] = {}
     for gap, weight in enumerate(_gap_weights(n, model.b_count)[: limit + 1]):
@@ -251,9 +263,9 @@ def type_histogram(model: ModelSpec, n: int, *, cap: int = MAX_N) -> TypeHistogr
     return TypeHistogram(dict(sorted(counts.items())), n)
 
 
-def max_type_count(model: ModelSpec, n: int, *, cap: int = MAX_N) -> int:
+def max_type_count(model: ModelSpec, n: int) -> int:
     """Number of distinct type values the model realizes at length n."""
-    return len(type_histogram(model, n, cap=cap).counts)
+    return len(type_histogram(model, n).counts)
 
 
 def format_model(model: ModelSpec) -> str:

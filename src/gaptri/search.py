@@ -28,9 +28,8 @@ from .model import (
     Unbounded,
     format_model,
 )
-from .sequences import MAX_N
 from .triangle import CoefficientTriangle
-from .verify import RowVerdict, obstruction_report, verify_row
+from .verify import obstruction_report, verify_row
 
 
 @dataclass(frozen=True)
@@ -54,15 +53,16 @@ class SearchFamily:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """One candidate's verdicts over the requested rows.
+    """One candidate's outcome over the requested rows.
 
     ``ill_typed_rows`` flags rows where the candidate produced a type index
     k < 1; such a key can never appear in a target row, so those rows are
-    automatically unmatched.
+    automatically unmatched. The row verdicts themselves are not kept: their
+    histograms grow with the row length, so a family's verdicts over long
+    rows would not fit in memory; ``verify_row`` gives any one of them again.
     """
 
     model: ModelSpec
-    verdicts: tuple[RowVerdict, ...]
     matched_rows: frozenset[int]
     score: int
     ill_typed_rows: frozenset[int]
@@ -86,17 +86,15 @@ def evaluate_candidate(
     model: ModelSpec,
     triangle: CoefficientTriangle,
     rows: Sequence[int],
-    cap: int = MAX_N,
 ) -> SearchResult:
-    """Verdicts for one candidate over the requested rows; pure and picklable."""
-    verdicts = tuple(verify_row(model, triangle, n, cap=cap) for n in rows)
+    """Outcome of one candidate over the requested rows; pure and picklable."""
+    verdicts = tuple(verify_row(model, triangle, n) for n in rows)
     matched = frozenset(v.n for v in verdicts if v.matches)
     ill_typed = frozenset(
         v.n for v in verdicts if any(k < 1 for k in v.predicted.counts)
     )
     return SearchResult(
         model=model,
-        verdicts=verdicts,
         matched_rows=matched,
         score=len(matched),
         ill_typed_rows=ill_typed,
@@ -108,7 +106,6 @@ def run_search(
     triangle: CoefficientTriangle,
     rows: Iterable[int],
     *,
-    cap: int = MAX_N,
     workers: int = 1,
 ) -> list[SearchResult]:
     """Evaluate every candidate and sort by score descending, then by
@@ -116,30 +113,28 @@ def run_search(
     evaluation over processes; the merged output is identical either way."""
     row_list = tuple(rows)
     if workers > 1:
-        evaluate = partial(evaluate_candidate, triangle=triangle, rows=row_list, cap=cap)
+        evaluate = partial(evaluate_candidate, triangle=triangle, rows=row_list)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(evaluate, family.candidates(), chunksize=256))
     else:
         results = [
-            evaluate_candidate(model, triangle, row_list, cap) for model in family.candidates()
+            evaluate_candidate(model, triangle, row_list) for model in family.candidates()
         ]
     results.sort(key=lambda r: (-r.score, format_model(r.model)))
     return results
 
 
-def witness(
-    model: ModelSpec, triangle: CoefficientTriangle, n: int, *, cap: int = MAX_N
-) -> str:
+def witness(model: ModelSpec, triangle: CoefficientTriangle, n: int) -> str:
     """Human-readable reason row n fails under the model.
 
     Names the type-count deficit when the model cannot realize enough distinct
     types for the row, otherwise the smallest disagreeing entry. Raises
     NotAFailureError when the row actually matches.
     """
-    verdict = verify_row(model, triangle, n, cap=cap)
+    verdict = verify_row(model, triangle, n)
     if verdict.matches:
         raise NotAFailureError(n)
-    report = obstruction_report(model, triangle, n, cap=cap)
+    report = obstruction_report(model, triangle, n)
     if report.obstructed:
         return (
             f"type-count deficit: provided {report.provided_types} "

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import ModelSpec, TypeHistogram, max_type_count, type_histogram
-from .sequences import MAX_N
 from .triangle import CoefficientTriangle, required_type_count
 
 
@@ -47,12 +46,10 @@ class ObstructionReport:
     obstructed: bool
 
 
-def verify_row(
-    model: ModelSpec, triangle: CoefficientTriangle, n: int, *, cap: int = MAX_N
-) -> RowVerdict:
+def verify_row(model: ModelSpec, triangle: CoefficientTriangle, n: int) -> RowVerdict:
     """Compare the model's type histogram at length n with triangle row n."""
     row = triangle.row(n)
-    predicted = type_histogram(model, n, cap=cap)
+    predicted = type_histogram(model, n)
     target = {k: row[k - 1] for k in range(1, len(row) + 1)}
     detail = []
     for k in sorted(set(predicted.counts) | set(target)):
@@ -70,22 +67,23 @@ def verify_row(
 
 
 def boundary_check(
-    model: ModelSpec, triangle: CoefficientTriangle, n_max: int, *, cap: int = MAX_N
+    model: ModelSpec, triangle: CoefficientTriangle, n_max: int
 ) -> list[RowVerdict]:
     """Verdicts for rows 1..n_max, in row order."""
-    return [verify_row(model, triangle, n, cap=cap) for n in range(1, n_max + 1)]
+    return [verify_row(model, triangle, n) for n in range(1, n_max + 1)]
 
 
-def check_type_count_bound(model: ModelSpec, n_max: int, *, cap: int = MAX_N) -> int:
+def check_type_count_bound(model: ModelSpec, n_max: int) -> int:
     """Largest number of distinct types the model realizes at any length <= n_max."""
-    return max(max_type_count(model, n, cap=cap) for n in range(1, n_max + 1))
+    return max(max_type_count(model, n) for n in range(1, n_max + 1))
 
 
 def obstruction_report(
-    model: ModelSpec, triangle: CoefficientTriangle, n: int, *, cap: int = MAX_N
+    model: ModelSpec, triangle: CoefficientTriangle, n: int
 ) -> ObstructionReport:
-    provided = max_type_count(model, n, cap=cap)
+    # The row first: a missing row is refused before any census work.
     required = required_type_count(triangle, n)
+    provided = max_type_count(model, n)
     return ObstructionReport(
         n=n,
         provided_types=provided,

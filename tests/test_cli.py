@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gaptri import (
+    ModelSpec,
     count_by_gap,
     default_family,
     embedded_half_triangle,
@@ -257,17 +258,27 @@ class TestEnumerate:
 class TestValidCodes:
     def test_equals_scan_for_every_family_model(self):
         # Validity reads only the threshold and the B-count window, so one
-        # check per distinct pair covers every model of the family.
-        checked = set()
-        for model in default_family().candidates():
-            key = (model.gap_threshold, model.b_count)
-            if key in checked:
-                continue
-            checked.add(key)
-            for n in range(1, 13):
-                expected = [seq.code for seq in valid_set(model, n)]
-                assert list(valid_codes(model, n)) == expected, (model, n)
-        assert len(checked) > 1
+        # check per pair covers every model of the family. The extra windows
+        # make the generator step over runs of too few and too many B's.
+        family = default_family()
+        for n in range(1, 13):
+            windows = family.b_count_options + ((3, 5), (4, 4), (2, n), (n, n))
+            for threshold in family.thresholds:
+                for window in windows:
+                    if window is not None and window[0] > window[1]:
+                        continue
+                    model = ModelSpec(threshold, family.type_maps[0], window)
+                    expected = [seq.code for seq in valid_set(model, n)]
+                    assert list(valid_codes(model, n)) == expected, (model, n)
+
+    def test_narrow_window_is_output_sized(self, capsys):
+        started = time.perf_counter()
+        model = "gap<=inf; type=affine(1,1); bcount=1..1"
+        code, out, _ = run_cli(capsys, "enumerate", "-n", "30", "--model", model, "--valid-only")
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 30
+        assert elapsed < 1.0
 
 
 class TestStats:
@@ -497,6 +508,31 @@ class TestUsage:
     def test_cap_restricts_n(self, capsys):
         code, _, _ = run_cli(capsys, "enumerate", "-n", "5", "--cap", "4")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--rows", "1..3"],
+            ["obstruct", "--rows", "4..9"],
+            ["search", "--rows", "1..3"],
+            ["ingest", "--bfile", BFILE_FIXTURE, "--row-rule", "floor(n/2)+1"],
+        ],
+    )
+    def test_cap_only_on_listing_commands(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--cap", "20")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --cap 20" in err
+
+    @pytest.mark.parametrize("command", ["verify", "obstruct"])
+    def test_missing_long_row_is_refused_at_once(self, capsys, command):
+        # The triangle row is read before any census work at that length.
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--rows", "1000000")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == "gaptri: error: triangle has no row 1000000\n"
 
     def test_bad_row_range(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--rows", "x..y")

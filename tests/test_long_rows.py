@@ -1,0 +1,107 @@
+"""Rows beyond the enumeration ceiling MAX_N = 30.
+
+Histograms come from the closed-form census, so ``verify``, ``obstruct`` and
+``search`` accept every row a triangle has. The triangles here are planted
+from a model by a binomial-sum oracle written in this module, not by gaptri.
+"""
+
+import tracemalloc
+from math import comb
+
+from gaptri import (
+    MAX_N,
+    Affine,
+    Constant,
+    HalfFloor,
+    ModelSpec,
+    ParityFlip,
+    SearchFamily,
+    Unbounded,
+    boundary_check,
+    canonical_model,
+    format_model,
+    format_triangle,
+    obstruction_report,
+    parse_triangle,
+    run_search,
+)
+from gaptri.cli import main
+from gaptri.model import _gap_weights
+
+PLANTED = ModelSpec(HalfFloor(), Affine(1, 1), (1, 3))
+ROWS = 40
+
+
+def planted_row(n):
+    # Row n of PLANTED's triangle, column k = gap + 1 for gap = 0..n // 2:
+    # n sequences have gap 0 (one B), and (n - g) * C(g - 1, b - 2) have
+    # gap g >= 1 and b B's, of which b = 2 and b = 3 lie in the window.
+    return [n] + [(n - g) * (comb(g - 1, 0) + comb(g - 1, 1)) for g in range(1, n // 2 + 1)]
+
+
+def planted_triangle(rows):
+    return parse_triangle([" ".join(map(str, planted_row(n))) for n in range(1, rows + 1)])
+
+
+class TestPlantedPastMaxN:
+    def test_verify_matches_every_row(self):
+        assert ROWS > MAX_N
+        verdicts = boundary_check(PLANTED, planted_triangle(ROWS), ROWS)
+        assert [v.n for v in verdicts if v.matches] == list(range(1, ROWS + 1))
+
+    def test_cli_verify_matches_every_row(self, capsys, tmp_path):
+        path = tmp_path / "planted.txt"
+        path.write_text(format_triangle(planted_triangle(ROWS)), encoding="utf-8")
+        code = main(["verify", "--model", format_model(PLANTED), "--triangle", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines()[1:]] == ["yes"] * ROWS
+
+    def test_obstruct_reports_two_canonical_types(self):
+        triangle = planted_triangle(ROWS)
+        for n in range(2, ROWS + 1):
+            report = obstruction_report(canonical_model(), triangle, n)
+            assert report.provided_types == 2
+            assert report.required_types == n // 2 + 1
+            assert report.obstructed == (n >= 4)
+
+    def test_search_ranks_planted_model_first(self):
+        family = SearchFamily(
+            thresholds=(Constant(1), HalfFloor(), Unbounded()),
+            type_maps=(ParityFlip(), Affine(1, 1)),
+            b_count_options=(None, (1, 3)),
+        )
+        results = run_search(family, planted_triangle(ROWS), range(1, ROWS + 1))
+        assert results[0].model == PLANTED
+        assert results[0].score == ROWS
+        assert results[1].score < ROWS
+
+    def test_census_memo_computes_each_row_and_window_once(self):
+        rows = 100
+        family = SearchFamily(
+            thresholds=(Constant(1), HalfFloor(), Unbounded()),
+            type_maps=(ParityFlip(), Affine(1, 1)),
+            b_count_options=(None, (1, 1), (1, 3)),
+        )
+        _gap_weights.cache_clear()
+        run_search(family, planted_triangle(rows), range(1, rows + 1))
+        assert _gap_weights.cache_info().misses == rows * 3
+
+    def test_search_results_keep_no_row_histograms(self):
+        rows = 100
+        family = SearchFamily(
+            thresholds=(Constant(1), HalfFloor(), Unbounded()),
+            type_maps=(ParityFlip(), Affine(1, 1)),
+            b_count_options=(None, (1, 3)),
+        )
+        triangle = planted_triangle(rows)
+        run_search(family, triangle, range(1, rows + 1))  # fills the census memo
+        tracemalloc.start()
+        try:
+            results = run_search(family, triangle, range(1, rows + 1))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert results[0].model == PLANTED
+        # Verdicts kept per candidate and row would hold about 5 MB here.
+        assert retained < 1 << 20

@@ -1,4 +1,5 @@
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -215,18 +216,35 @@ class TestTypeHistogram:
             assert by_gap.setdefault(gap, k) == k
 
 
+def census_windows(n):
+    return [None, (1, 1), (1, 2), (2, 2), (3, 5), (n, n), (n + 1, n + 1), (1, n + 5)]
+
+
+def comb_weights(n, window):
+    # Oracle for long rows: the closed form, one binomial at a time.
+    lo, hi = window or (1, n)
+    weights = [n if lo <= 1 <= hi else 0]
+    for g in range(1, n):
+        weights.append((n - g) * sum(comb(g - 1, b - 2) for b in range(max(lo, 2), hi + 1)))
+    return tuple(weights)
+
+
 class TestClosedFormCensus:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_weights_equal_scan(self, n):
         census = scan_census(n)
-        windows = [None, (1, 1), (1, 2), (2, 2), (3, 5), (n, n), (n + 1, n + 1), (1, n + 5)]
-        for window in windows:
+        for window in census_windows(n):
             lo, hi = window or (1, n)
             expected = tuple(
                 sum(c for (gap, b), c in census.items() if gap == g and lo <= b <= hi)
                 for g in range(n)
             )
             assert _gap_weights(n, window) == expected, window
+
+    def test_weights_equal_binomial_sums_past_max_n(self):
+        for n in range(1, 81):
+            for window in census_windows(n):
+                assert _gap_weights(n, window) == comb_weights(n, window), (n, window)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(model=MODELS, n=st.integers(1, 10))
@@ -237,8 +255,13 @@ class TestClosedFormCensus:
     @given(type_map=TYPE_MAPS)
     def test_unrestricted_counts_sum_to_all_nonempty(self, type_map):
         model = ModelSpec(Unbounded(), type_map)
-        for n in range(1, 31):
+        for n in range(1, 101):
             assert sum(type_histogram(model, n).counts.values()) == 2**n - 1
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_length_below_one_is_rejected(self, n):
+        with pytest.raises(ValueError, match="sequence length must be >= 1"):
+            type_histogram(canonical_model(), n)
 
 
 class TestMaxTypeCount:
