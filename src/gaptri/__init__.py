@@ -27,6 +27,7 @@ from .model import (
     HalfFloor,
     ModelSpec,
     ParityFlip,
+    Threshold,
     TypeHistogram,
     TypeMap,
     Unbounded,

@@ -21,12 +21,12 @@ from .model import (
     _gap_weights,
     format_model,
     parse_model,
-    resolve_threshold,
     type_for_gap,
+    type_histogram,
     valid_codes,
 )
 from .search import default_family, result_record, run_search, witness
-from .sequences import MAX_N, check_enumerable
+from .sequences import check_enumerable
 from .triangle import (
     CoefficientTriangle,
     embedded_half_triangle,
@@ -50,12 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model text or 'canonical'")
     p.add_argument("--valid-only", action="store_true", help="list only valid sequences")
     _add_common(p)
-    _add_cap(p)
 
     p = sub.add_parser("stats", help="gap distribution over all length-n sequences")
     p.add_argument("-n", type=int, required=True, help="sequence length")
     _add_common(p)
-    _add_cap(p)
 
     p = sub.add_parser("verify", help="check model histograms against triangle rows")
     p.add_argument("--model", default="canonical", help="model text or 'canonical'")
@@ -72,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("search", help="evaluate the candidate family against a triangle")
-    p.add_argument("--family", default="default", help="candidate family name")
     _add_triangle_source(p)
     p.add_argument("--rows", help="row range a..b (default: every triangle row)")
     p.add_argument("--top", type=int, default=20, help="how many ranked candidates to print")
@@ -89,16 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("table", "tsv"), default="table")
-
-
-def _add_cap(p: argparse.ArgumentParser) -> None:
-    # Only the commands that list or scan sequences are bounded in n.
-    p.add_argument("--cap", type=int, default=MAX_N, help=f"enumeration cap, at most {MAX_N}")
-
-
-def _check_cap(cap: int) -> None:
-    if not 1 <= cap <= MAX_N:
-        raise ValueError(f"--cap must be within 1..{MAX_N}")
 
 
 def _add_triangle_source(p: argparse.ArgumentParser) -> None:
@@ -154,9 +141,8 @@ def _render(headers: list[str], rows: list[list[str]], fmt: str) -> str:
 
 
 def _threshold_text(model: ModelSpec, n: int) -> str:
-    if isinstance(model.gap_threshold, Unbounded):
-        return "inf"
-    return str(resolve_threshold(model.gap_threshold, n))
+    threshold = model.gap_threshold
+    return "inf" if threshold == Unbounded() else str(threshold.limit(n))
 
 
 def _k_header(model: ModelSpec, n: int) -> str:
@@ -169,15 +155,17 @@ def _k_header(model: ModelSpec, n: int) -> str:
 #: Bytes per write while streaming a listing; rows are never cut.
 _CHUNK_BYTES = 1 << 16
 
+#: Most bytes a listing may print; a larger one is refused before its first row.
+_LISTING_BYTES = 1 << 32
+
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     # Everything that can fail is checked here, before the first row is made.
-    _check_cap(args.cap)
     model = parse_model(args.model) if args.model else None
     if args.valid_only and model is None:
         raise ValueError("--valid-only requires --model")
     n = args.n
-    check_enumerable(n, args.cap)
+    check_enumerable(n)
     headers = ["sequence", "has_B"]
     show_bcount = model is not None and model.b_count is not None
     if show_bcount:
@@ -185,7 +173,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     headers += ["first_B", "last_B", "gap"]
     if model is not None:
         headers += [f"gap<={_threshold_text(model, n)}?", _k_header(model, n), "valid?"]
-        limit = resolve_threshold(model.gap_threshold, n)
+        limit = model.gap_threshold.limit(n)
         lo, hi = model.b_count or (1, n)
 
     def cells(code: int) -> list[str]:
@@ -219,6 +207,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     widths = _widths(
         headers, ([format(c, spelling).translate(_SYMBOLS)] + cells(c) for c in samples)
     )
+    # No line is longer than its padded cells, separators and newline.
+    line_bytes = sum(widths) + 2 * (len(widths) - 1) + 1
+    rows = type_histogram(model, n).total if args.valid_only else 1 << n
+    if (rows + 1) * line_bytes > _LISTING_BYTES:
+        raise ValueError(
+            f"{rows} rows could exceed {_LISTING_BYTES} bytes; list fewer with --valid-only"
+        )
     codes = valid_codes(model, n) if args.valid_only else range(1 << n)
 
     def chunks() -> Iterator[str]:
@@ -226,7 +221,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
         # included, is cached by the bits it depends on: O(n**3) keys at most.
         lead = "\t" if args.format == "tsv" else " " * (widths[0] - n) + "  "
         tails: dict[tuple[int, int, int], str] = {}
-        per_chunk = max(1, _CHUNK_BYTES // (sum(widths) + 2 * len(widths)))
+        per_chunk = max(1, _CHUNK_BYTES // line_bytes)
         chunk = [_line(headers, widths, args.format)]
         for code in codes:
             key = (code.bit_length(), code & -code, code.bit_count() if show_bcount else 0)
@@ -246,8 +241,7 @@ _SYMBOLS = str.maketrans("01", "RB")
 
 
 def _cmd_stats(args: argparse.Namespace) -> tuple[list[str], int]:
-    _check_cap(args.cap)
-    check_enumerable(args.n, args.cap)
+    check_enumerable(args.n)
     body = [[str(gap), str(count)] for gap, count in enumerate(_gap_weights(args.n, None))]
     return [_render(["gap", "count"], body, args.format)], 0
 
@@ -284,8 +278,6 @@ def _cmd_obstruct(args: argparse.Namespace) -> tuple[list[str], int]:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
-    if args.family != "default":
-        raise ValueError(f"unknown family {args.family!r}")
     triangle = _load_triangle(args)
     lo, hi = _rows_range(args.rows, triangle)
     rows = range(lo, hi + 1)

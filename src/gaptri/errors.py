@@ -20,10 +20,10 @@ class InvalidSymbolError(GaptriError):
 
 
 class InvalidLengthError(GaptriError):
-    def __init__(self, n: int, cap: int) -> None:
-        super().__init__(f"length {n} outside the enumerable range 1..{cap}")
+    def __init__(self, n: int, max_n: int) -> None:
+        super().__init__(f"length {n} outside the enumerable range 1..{max_n}")
         self.n = n
-        self.cap = cap
+        self.max_n = max_n
 
 
 class InvalidSequenceError(GaptriError):

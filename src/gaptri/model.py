@@ -4,6 +4,8 @@ A model has three independent knobs: a gap threshold deciding which sequences
 count as valid, a type map sending (length parity, gap) to a column index k,
 and an optional bound on how many B symbols a valid sequence may carry.
 
+A gap threshold is one ceiling ``halves * n // 2 + offset`` together with
+its spelling: (0, c) for ``c``, (1, 0) for ``n/2`` and (2, -1) for ``inf``.
 A type map is one affine pair (a, b) for even n and one for odd n, giving
 k = a*gap + b, together with its spelling in the text form. The spelling is
 kept because different spellings can share both pairs: ``parity-paper`` and
@@ -17,10 +19,9 @@ e.g. ``gap<=1; type=parity-paper; bcount=*`` for the canonical model.
 
 Type histograms come from the closed-form gap/B-count census (n sequences
 with gap 0, and (n - g) * C(g - 1, b - 2) with gap g >= 1 and b B's), so
-they accept any length n >= 1. ``valid_set`` lists sequences by scanning all
-2**n codes, so it shares the enumeration ceiling MAX_N = 30 with
-``enumerate_all``; ``valid_codes`` generates the same codes in time
-proportional to their number.
+they accept any length n >= 1. ``valid_set`` scans all 2**n codes, so like
+``enumerate_all`` it accepts n <= MAX_N = 30; ``valid_codes`` generates the
+same codes in time proportional to their number.
 """
 
 from __future__ import annotations
@@ -31,36 +32,38 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import InvalidSequenceError, ModelParseError
-from .sequences import (
-    MAX_N,
-    BinarySequence,
-    check_enumerable,
-    gap_statistics,
-)
+from .sequences import BinarySequence, check_enumerable, gap_statistics
 
 
 @dataclass(frozen=True)
-class Constant:
+class Threshold:
+    """Gap ceiling ``halves * n // 2 + offset`` at length n. ``name`` is the
+    wire spelling ``format_model`` prints; build instances through
+    ``Constant``, ``HalfFloor`` or ``Unbounded`` so it is normalised."""
+
+    halves: int
+    offset: int
+    name: str
+
+    def limit(self, n: int) -> int:
+        return self.halves * n // 2 + self.offset
+
+
+def Constant(c: int) -> Threshold:
     """Fixed ceiling: valid sequences satisfy gap <= c."""
-
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.c < 0:
-            raise ValueError("gap threshold must be >= 0")
+    if c < 0:
+        raise ValueError("gap threshold must be >= 0")
+    return Threshold(0, c, str(c))
 
 
-@dataclass(frozen=True)
-class HalfFloor:
+def HalfFloor() -> Threshold:
     """Length-relative ceiling gap <= floor(n/2)."""
+    return Threshold(1, 0, "n/2")
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    """No gap restriction beyond requiring at least one B."""
-
-
-Threshold = Constant | HalfFloor | Unbounded
+def Unbounded() -> Threshold:
+    """gap <= n - 1, the largest gap a length-n sequence can have."""
+    return Threshold(2, -1, "inf")
 
 
 @dataclass(frozen=True)
@@ -134,14 +137,8 @@ def canonical_model() -> ModelSpec:
 
 
 def resolve_threshold(threshold: Threshold, n: int) -> int:
-    """Concrete gap ceiling at length n. Unbounded resolves to n - 1, the
-    largest gap any length-n sequence can realize, so Constant(c) with
-    c >= n - 1 behaves identically to Unbounded."""
-    if isinstance(threshold, Constant):
-        return threshold.c
-    if isinstance(threshold, HalfFloor):
-        return n // 2
-    return n - 1
+    """Concrete gap ceiling at length n."""
+    return threshold.limit(n)
 
 
 def type_for_gap(model: ModelSpec, n: int, gap: int) -> int:
@@ -160,7 +157,7 @@ def is_valid(model: ModelSpec, seq: BinarySequence) -> bool:
     stats = gap_statistics(seq)
     if stats is None:
         return False
-    if stats.gap > resolve_threshold(model.gap_threshold, seq.n):
+    if stats.gap > model.gap_threshold.limit(seq.n):
         return False
     if model.b_count is not None:
         lo, hi = model.b_count
@@ -178,11 +175,11 @@ def type_of(model: ModelSpec, seq: BinarySequence) -> int:
     return type_for_gap(model, seq.n, stats.gap)
 
 
-def valid_set(model: ModelSpec, n: int, *, cap: int = MAX_N) -> list[BinarySequence]:
+def valid_set(model: ModelSpec, n: int) -> list[BinarySequence]:
     """All valid length-n sequences in lexicographic order, found by scanning
     the full 2**n space."""
-    check_enumerable(n, cap)
-    limit = resolve_threshold(model.gap_threshold, n)
+    check_enumerable(n)
+    limit = model.gap_threshold.limit(n)
     if model.b_count is None:
         codes = [
             code
@@ -210,7 +207,7 @@ def valid_codes(model: ModelSpec, n: int) -> Iterator[int]:
     Does no length check: callers that take n from outside bound it first
     (``check_enumerable``).
     """
-    limit = resolve_threshold(model.gap_threshold, n)
+    limit = model.gap_threshold.limit(n)
     lo, hi = model.b_count or (1, n)
     for h in range(n):
         top, shift = 1 << h, max(h - limit, 0)
@@ -254,7 +251,7 @@ def type_histogram(model: ModelSpec, n: int) -> TypeHistogram:
     """
     if n < 1:
         raise ValueError("sequence length must be >= 1")
-    limit = resolve_threshold(model.gap_threshold, n)
+    limit = model.gap_threshold.limit(n)
     counts: dict[int, int] = {}
     for gap, weight in enumerate(_gap_weights(n, model.b_count)[: limit + 1]):
         if weight:
@@ -270,16 +267,11 @@ def max_type_count(model: ModelSpec, n: int) -> int:
 
 def format_model(model: ModelSpec) -> str:
     """Single-line text form of a model, per the grammar in the module docstring."""
-    threshold = model.gap_threshold
-    if isinstance(threshold, Constant):
-        gap = str(threshold.c)
-    elif isinstance(threshold, HalfFloor):
-        gap = "n/2"
-    else:
-        gap = "inf"
     bcount = "*" if model.b_count is None else f"{model.b_count[0]}..{model.b_count[1]}"
-    return f"gap<={gap}; type={model.type_map.name}; bcount={bcount}"
+    return f"gap<={model.gap_threshold.name}; type={model.type_map.name}; bcount={bcount}"
 
+
+_SPELLED_THRESHOLDS = {"n/2": HalfFloor(), "inf": Unbounded()}
 
 _MODEL_RE = re.compile(
     r"^gap<=(?P<gap>\d+|n/2|inf); "
@@ -298,13 +290,7 @@ def parse_model(text: str) -> ModelSpec:
     if m is None:
         raise ModelParseError(f"cannot parse model text {text!r}")
     gap = m.group("gap")
-    threshold: Threshold
-    if gap == "n/2":
-        threshold = HalfFloor()
-    elif gap == "inf":
-        threshold = Unbounded()
-    else:
-        threshold = Constant(int(gap))
+    threshold = _SPELLED_THRESHOLDS.get(gap) or Constant(int(gap))
     type_map: TypeMap
     if m.group("type") == "parity-paper":
         type_map = ParityFlip()

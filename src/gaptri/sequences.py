@@ -5,6 +5,9 @@ A length-n sequence is packed into an integer code in [0, 2**n): position i
 Sweeping codes upward therefore walks the sequences in lexicographic order
 with R < B, which is the ordering every stream in this package guarantees.
 All reported positions (first_b, last_b, parse error positions) are 1-based.
+
+``enumerate_all`` and ``count_by_gap`` visit all 2**n codes, so they accept
+only lengths 1..MAX_N = 30 (``check_enumerable``).
 """
 
 from __future__ import annotations
@@ -92,39 +95,27 @@ def gap_statistics(seq: BinarySequence) -> GapStatistics | None:
     return GapStatistics(first_b, last_b, last_b - first_b)
 
 
-def check_enumerable(n: int, cap: int = MAX_N) -> None:
-    """Reject lengths outside 1..min(cap, MAX_N) before any 2**n work starts."""
-    effective = min(cap, MAX_N)
-    if not 1 <= n <= effective:
-        raise InvalidLengthError(n, effective)
+def check_enumerable(n: int) -> None:
+    """Reject lengths outside 1..MAX_N before any 2**n work starts."""
+    if not 1 <= n <= MAX_N:
+        raise InvalidLengthError(n, MAX_N)
 
 
-def enumerate_all(
-    n: int, *, cap: int = MAX_N, start: int = 0, stop: int | None = None
-) -> Iterator[BinarySequence]:
-    """Yield all 2**n distinct length-n sequences in lexicographic order (R < B).
-
-    ``start``/``stop`` bound the underlying code counter, so disjoint code
-    ranges partition the stream exactly; the defaults cover the whole space.
-    """
-    check_enumerable(n, cap)
-    space = 1 << n
-    if stop is None:
-        stop = space
-    if not 0 <= start <= stop <= space:
-        raise ValueError("code range outside the sequence space")
-    for code in range(start, stop):
+def enumerate_all(n: int) -> Iterator[BinarySequence]:
+    """Yield all 2**n distinct length-n sequences in lexicographic order (R < B)."""
+    check_enumerable(n)
+    for code in range(1 << n):
         yield BinarySequence(n, code)
 
 
-def count_by_gap(n: int, *, cap: int = MAX_N) -> dict[int, int]:
+def count_by_gap(n: int) -> dict[int, int]:
     """Histogram {gap: count} over every length-n sequence with at least one B.
 
     Computed by scanning all 2**n codes, never by formula: this function is
     the ground-truth side of any closed-form cross-check. Keys are exactly
     the realized gap values, in ascending order; values sum to 2**n - 1.
     """
-    check_enumerable(n, cap)
+    check_enumerable(n)
     counts = [0] * n
     for code in range(1, 1 << n):
         counts[code.bit_length() - (code & -code).bit_length()] += 1

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -70,9 +71,15 @@ def oracle_render(headers, rows, fmt):
     return "\n".join(lines) + "\n"
 
 
-def oracle_enumerate(n, model_text, valid_only):
-    """Headers and rows of the buffered listing: one BinarySequence,
-    GapStatistics and is_valid per code of the 2**n scan."""
+@lru_cache(maxsize=1)
+def oracle_scan(n):
+    """One BinarySequence and its GapStatistics per code of the 2**n scan."""
+    return [(seq, gap_statistics(seq)) for seq in enumerate_all(n)]
+
+
+def oracle_enumerate(n, model_text):
+    """Headers and rows of the buffered full listing: one is_valid per code
+    of the 2**n scan. A --valid-only listing keeps the rows ending in Yes."""
     model = parse_model(model_text) if model_text else None
     headers = ["sequence", "has_B"]
     show_bcount = model is not None and model.b_count is not None
@@ -83,11 +90,8 @@ def oracle_enumerate(n, model_text, valid_only):
         headers += [f"gap<={_threshold_text(model, n)}?", _k_header(model, n), "valid?"]
         limit = resolve_threshold(model.gap_threshold, n)
     body = []
-    for seq in enumerate_all(n):
-        stats = gap_statistics(seq)
+    for seq, stats in oracle_scan(n):
         valid = model is not None and is_valid(model, seq)
-        if valid_only and not valid:
-            continue
         cells = [str(seq), "Yes" if stats else "No"]
         if show_bcount:
             cells.append(str(seq.b_count))
@@ -107,6 +111,8 @@ def oracle_enumerate(n, model_text, valid_only):
         body.append(cells)
     return headers, body
 
+
+TOO_LONG = "gaptri: error: {} rows could exceed {} bytes; list fewer with --valid-only\n"
 
 GRID_THRESHOLDS = ["0", "1", "2", "3", "n/2", "inf"]
 GRID_TYPE_MAPS = [
@@ -191,22 +197,23 @@ class TestEnumerate:
         # One parser for the whole grid: building it dominates small listings.
         parser = cli.build_parser()
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
-        cases = [(None, False)] + [
-            (f"gap<={t}; type={tm}; bcount={w}", valid_only)
+        models = [None] + [
+            f"gap<={t}; type={tm}; bcount={w}"
             for t in GRID_THRESHOLDS
             for tm in GRID_TYPE_MAPS
             for w in GRID_WINDOWS
-            for valid_only in (False, True)
         ]
-        for model, valid_only in cases:
-            headers, body = oracle_enumerate(n, model, valid_only)
-            for fmt in ("table", "tsv"):
-                argv = ["enumerate", "-n", str(n), "--format", fmt]
-                argv += ["--model", model] if model else []
-                argv += ["--valid-only"] if valid_only else []
-                code, out, err = run_cli(capsys, *argv)
-                assert (code, err) == (0, ""), argv
-                assert out == oracle_render(headers, body, fmt), argv
+        for model in models:
+            headers, body = oracle_enumerate(n, model)
+            for valid_only in (False, True) if model else (False,):
+                rows = [cells for cells in body if cells[-1] == "Yes"] if valid_only else body
+                for fmt in ("table", "tsv"):
+                    argv = ["enumerate", "-n", str(n), "--format", fmt]
+                    argv += ["--model", model] if model else []
+                    argv += ["--valid-only"] if valid_only else []
+                    code, out, err = run_cli(capsys, *argv)
+                    assert (code, err) == (0, ""), argv
+                    assert out == oracle_render(headers, rows, fmt), argv
 
     def test_valid_only_is_output_sized(self, capsys):
         started = time.perf_counter()
@@ -220,6 +227,40 @@ class TestEnumerate:
         assert lines[1].split() == ["R" * 29 + "B", "Yes", "30", "30", "0", "Yes", "2", "Yes"]
         assert lines[-1].split() == ["BB" + "R" * 28, "Yes", "1", "2", "1", "Yes", "1", "Yes"]
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("valid_only, rows", [(False, 16), (True, 7)])
+    def test_listing_bound_is_exact(self, capsys, monkeypatch, valid_only, rows):
+        # At n = 4 every canonical header is at least as wide as its cells,
+        # so the bound allows each row the length of the header line.
+        argv = ["enumerate", "-n", "4", "--model", "canonical"]
+        argv += ["--valid-only"] if valid_only else []
+        code, full, _ = run_cli(capsys, *argv)
+        assert code == 0
+        bound = (rows + 1) * len(full.splitlines(keepends=True)[0])
+        monkeypatch.setattr(cli, "_LISTING_BYTES", bound - 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == TOO_LONG.format(rows, bound - 1)
+        monkeypatch.setattr(cli, "_LISTING_BYTES", bound)
+        assert run_cli(capsys, *argv) == (0, full, "")
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["enumerate", "-n", "30"], 2**30),
+            (
+                ["enumerate", "-n", "30", "--valid-only"]
+                + ["--model", "gap<=inf; type=affine(1,1); bcount=*"],
+                2**30 - 1,
+            ),
+        ],
+    )
+    def test_oversized_listing_is_refused_at_once(self, capsys, argv, rows):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert err == TOO_LONG.format(rows, 2**32)
 
     def test_rows_stream_in_bounded_writes(self, monkeypatch):
         class Sink(io.StringIO):
@@ -237,13 +278,13 @@ class TestEnumerate:
         assert main(["enumerate", "-n", "16", "--model", model]) == 0
         assert len(sink.sizes) > 1
         assert max(sink.sizes) <= 256 * 1024
-        assert sink.getvalue() == oracle_render(*oracle_enumerate(16, model, False), "table")
+        assert sink.getvalue() == oracle_render(*oracle_enumerate(16, model), "table")
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["enumerate", "-n", "31"],
-            ["enumerate", "-n", "5", "--cap", "4"],
+            ["enumerate", "-n", "30"],
             ["enumerate", "-n", "2", "--valid-only"],
             ["enumerate", "-n", "2", "--model", "gap<=x", "--valid-only"],
         ],
@@ -387,10 +428,11 @@ class TestSearch:
         for line in out.splitlines()[1:]:
             assert "1,2,3" in line
 
-    def test_unknown_family(self, capsys):
-        code, _, err = run_cli(capsys, "search", "--family", "exotic")
+    def test_family_is_unrecognized(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--rows", "1..3", "--family", "default")
         assert code == 2
-        assert "exotic" in err
+        assert out == ""
+        assert "unrecognized arguments: --family default" in err
 
 
 class TestIngest:
@@ -500,15 +542,6 @@ class TestUsage:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
-    def test_cap_over_limit(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "-n", "3", "--cap", "31")
-        assert code == 2
-        assert "--cap" in err
-
-    def test_cap_restricts_n(self, capsys):
-        code, _, _ = run_cli(capsys, "enumerate", "-n", "5", "--cap", "4")
-        assert code == 2
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -516,13 +549,16 @@ class TestUsage:
             ["obstruct", "--rows", "4..9"],
             ["search", "--rows", "1..3"],
             ["ingest", "--bfile", BFILE_FIXTURE, "--row-rule", "floor(n/2)+1"],
+            ["enumerate", "-n", "5"],
+            ["stats", "-n", "5"],
         ],
     )
-    def test_cap_only_on_listing_commands(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv, "--cap", "20")
+    def test_cap_is_unrecognized(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--cap", "4")
         assert code == 2
         assert out == ""
-        assert "unrecognized arguments: --cap 20" in err
+        assert err.startswith("usage: gaptri")
+        assert "unrecognized arguments: --cap 4" in err
 
     @pytest.mark.parametrize("command", ["verify", "obstruct"])
     def test_missing_long_row_is_refused_at_once(self, capsys, command):

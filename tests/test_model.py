@@ -23,21 +23,18 @@ from gaptri import (
     max_type_count,
     parse_model,
     parse_sequence,
+    resolve_threshold,
     type_histogram,
     type_of,
     valid_set,
 )
-from gaptri.model import _gap_weights
+from gaptri.model import _gap_weights, valid_codes
 
 
 def string_histogram(model, n):
     # Independent oracle: validity and types computed on raw text sequences.
-    if isinstance(model.gap_threshold, Constant):
-        limit = model.gap_threshold.c
-    elif isinstance(model.gap_threshold, HalfFloor):
-        limit = n // 2
-    else:
-        limit = n - 1
+    name = model.gap_threshold.name
+    limit = n // 2 if name == "n/2" else n - 1 if name == "inf" else int(name)
     counts = {}
     for chars in product("RB", repeat=n):
         positions = [i + 1 for i, ch in enumerate(chars) if ch == "B"]
@@ -258,6 +255,11 @@ class TestClosedFormCensus:
         for n in range(1, 101):
             assert sum(type_histogram(model, n).counts.values()) == 2**n - 1
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(model=MODELS, n=st.integers(1, 12))
+    def test_total_equals_generated_codes(self, model, n):
+        assert type_histogram(model, n).total == len(list(valid_codes(model, n)))
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_length_below_one_is_rejected(self, n):
         with pytest.raises(ValueError, match="sequence length must be >= 1"):
@@ -277,9 +279,24 @@ class TestMaxTypeCount:
         assert realized == {1, 2, 3, 4}
 
 
+class TestThreshold:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_resolves_to_its_ceiling(self, n):
+        for c in (0, 1, 2, 3, 50):
+            assert resolve_threshold(Constant(c), n) == c
+        assert resolve_threshold(HalfFloor(), n) == n // 2
+        assert resolve_threshold(Unbounded(), n) == n - 1
+
+    def test_factories_normalise_spelling(self):
+        model = parse_model("gap<=007; type=parity-paper; bcount=*")
+        assert model.gap_threshold == Constant(7)
+        assert format_model(model) == "gap<=7; type=parity-paper; bcount=*"
+        assert [t.name for t in (Constant(0), HalfFloor(), Unbounded())] == ["0", "n/2", "inf"]
+
+
 class TestSpecValidation:
     def test_negative_threshold(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gap threshold must be >= 0"):
             Constant(-1)
 
     def test_bad_b_count(self):

@@ -79,13 +79,6 @@ class TestEnumerate:
             list(enumerate_all(0))
         with pytest.raises(InvalidLengthError):
             list(enumerate_all(31))
-        with pytest.raises(InvalidLengthError):
-            list(enumerate_all(5, cap=4))
-
-    def test_partition_into_code_ranges(self):
-        full = list(enumerate_all(6))
-        halves = list(enumerate_all(6, stop=32)) + list(enumerate_all(6, start=32))
-        assert full == halves
 
 
 class TestGapStatistics:

@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaptri import (
     CoefficientTriangle,
@@ -19,6 +21,20 @@ from gaptri import (
 )
 
 BFILE_FIXTURE = Path(__file__).parent / "data" / "b223168_rows_1_9.txt"
+
+ENTRIES = st.integers(1, 10**30)
+
+
+def rows_of_lengths(lengths):
+    return st.tuples(*(st.tuples(*[ENTRIES] * k) for k in lengths))
+
+
+# Any ragged triangle: row lengths never decrease, entries are >= 1.
+NATIVE_ROWS = st.lists(st.integers(1, 6), max_size=10).map(sorted).flatmap(rows_of_lengths)
+# Triangles shaped like the order-1/2 one, as the b-file row rule chunks them.
+HALF_ROWS = st.integers(0, 14).flatmap(
+    lambda height: rows_of_lengths([half_row_rule(n) for n in range(1, height + 1)])
+)
 
 EMBEDDED_ROWS = (
     (1,),
@@ -143,6 +159,15 @@ class TestIngest:
             t = ingest_bfile(handle, half_row_rule, order_label="1/2")
         assert t == embedded_half_triangle()
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=HALF_ROWS)
+    def test_bfile_round_trip(self, rows):
+        terms = [entry for row in rows for entry in row]
+        lines = ["# A223168"] + [f"{i} {value}" for i, value in enumerate(terms, start=1)]
+        assert ingest_bfile(lines, half_row_rule, order_label="1/2") == CoefficientTriangle(
+            "1/2", rows
+        )
+
     def test_explicit_rule_callable(self):
         lengths = [1, 2, 2]
         t = ingest_bfile(["1 5", "2 6", "3 7"], lambda n: lengths[n - 1])
@@ -160,6 +185,14 @@ class TestNativeFormat:
         text = format_triangle(t)
         again = format_triangle(parse_triangle(text.splitlines(), order_label="1/2"))
         assert again == text
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=NATIVE_ROWS)
+    def test_round_trip_arbitrary_triangles(self, rows):
+        t = CoefficientTriangle("", rows)
+        text = format_triangle(t)
+        assert parse_triangle(text.splitlines(keepends=True)) == t
+        assert format_triangle(parse_triangle(text.splitlines())) == text
 
     def test_canonical_shape(self):
         assert format_triangle(CoefficientTriangle("x", ((1,), (2, 3)))) == "1\n2 3\n"
