@@ -560,6 +560,19 @@ class TestUsage:
         assert err.startswith("usage: gaptri")
         assert "unrecognized arguments: --cap 4" in err
 
+    def test_cap_over_limit(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "-n", "3", "--cap", "31")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --cap 31" in err
+
+    def test_cap_restricts_n(self, capsys):
+        # There is no cap left to restrict -n: the option itself is refused.
+        code, out, err = run_cli(capsys, "enumerate", "-n", "5", "--cap", "4")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --cap 4" in err
+
     @pytest.mark.parametrize("command", ["verify", "obstruct"])
     def test_missing_long_row_is_refused_at_once(self, capsys, command):
         # The triangle row is read before any census work at that length.
