@@ -13,7 +13,6 @@ from .errors import (
     InvalidLengthError,
     InvalidSequenceError,
     InvalidSymbolError,
-    MissingEntryError,
     MissingRowError,
     ModelParseError,
     NotAFailureError,
@@ -36,7 +35,6 @@ from .model import (
     is_valid,
     max_type_count,
     parse_model,
-    resolve_threshold,
     type_for_gap,
     type_histogram,
     type_of,

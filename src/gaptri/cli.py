@@ -55,19 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="sequence length")
     _add_common(p)
 
-    p = sub.add_parser("verify", help="check model histograms against triangle rows")
-    p.add_argument("--model", default="canonical", help="model text or 'canonical'")
-    _add_triangle_source(p)
-    p.add_argument("--rows", help="row range a..b (default: every triangle row)")
-    p.add_argument("--out", help="write one machine-readable record per row to this file")
-    _add_common(p)
-
-    p = sub.add_parser("obstruct", help="type-count obstruction reports per row")
-    p.add_argument("--model", default="canonical", help="model text or 'canonical'")
-    _add_triangle_source(p)
-    p.add_argument("--rows", help="row range a..b (default: every triangle row)")
-    p.add_argument("--out", help="write one machine-readable record per row to this file")
-    _add_common(p)
+    for name, about in (
+        ("verify", "check model histograms against triangle rows"),
+        ("obstruct", "type-count obstruction reports per row"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--model", default="canonical", help="model text or 'canonical'")
+        _add_triangle_source(p)
+        p.add_argument("--rows", help="row range a..b (default: every triangle row)")
+        p.add_argument("--out", help="write one machine-readable record per row to this file")
+        _add_common(p)
 
     p = sub.add_parser("search", help="evaluate the candidate family against a triangle")
     _add_triangle_source(p)
@@ -79,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="read a triangle or b-file, print canonical form")
     _add_triangle_source(p)
     p.add_argument("--out", help="write the canonical triangle text to this file")
-    _add_common(p)
 
     return parser
 
@@ -89,7 +85,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_triangle_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--triangle", default="embedded", help="triangle file path or 'embedded'")
+    p.add_argument("--triangle", help="triangle file path or 'embedded'")
     p.add_argument("--bfile", help="OEIS b-file path (requires --row-rule)")
     p.add_argument("--row-rule", help="'floor(n/2)+1' or 'explicit:l1,l2,...'")
 
@@ -331,16 +327,22 @@ def _write_out(path: str | None, content: str) -> None:
 
 
 def _load_triangle(args: argparse.Namespace) -> CoefficientTriangle:
-    if args.bfile is not None:
-        if args.row_rule is None:
-            raise ValueError("--bfile requires --row-rule")
-        rule = _parse_row_rule(args.row_rule)
-        with open(args.bfile, encoding="utf-8") as handle:
-            return ingest_bfile(handle, rule)
-    if args.triangle == "embedded":
-        return embedded_half_triangle()
-    with open(args.triangle, encoding="utf-8") as handle:
-        return parse_triangle(handle)
+    # --triangle defaults to None, not "embedded", so that naming it beside
+    # --bfile can be refused rather than silently dropped.
+    if args.bfile is None:
+        if args.row_rule is not None:
+            raise ValueError("--row-rule requires --bfile")
+        if args.triangle in (None, "embedded"):
+            return embedded_half_triangle()
+        with open(args.triangle, encoding="utf-8") as handle:
+            return parse_triangle(handle)
+    if args.triangle is not None:
+        raise ValueError("--bfile cannot be combined with --triangle")
+    if args.row_rule is None:
+        raise ValueError("--bfile requires --row-rule")
+    rule = _parse_row_rule(args.row_rule)
+    with open(args.bfile, encoding="utf-8") as handle:
+        return ingest_bfile(handle, rule)
 
 
 def _parse_row_rule(text: str) -> Callable[[int], int]:

@@ -61,13 +61,6 @@ class MissingRowError(GaptriError):
         self.row = row
 
 
-class MissingEntryError(GaptriError):
-    def __init__(self, row: int, column: int) -> None:
-        super().__init__(f"triangle row {row} has no entry in column {column}")
-        self.row = row
-        self.column = column
-
-
 class NotAFailureError(GaptriError):
     def __init__(self, row: int) -> None:
         super().__init__(f"row {row} matches; there is no failure to explain")

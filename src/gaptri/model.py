@@ -136,11 +136,6 @@ def canonical_model() -> ModelSpec:
     return ModelSpec(Constant(1), ParityFlip())
 
 
-def resolve_threshold(threshold: Threshold, n: int) -> int:
-    """Concrete gap ceiling at length n."""
-    return threshold.limit(n)
-
-
 def type_for_gap(model: ModelSpec, n: int, gap: int) -> int:
     """Type index the model assigns to any length-n sequence with this gap.
 
@@ -155,15 +150,12 @@ def is_valid(model: ModelSpec, seq: BinarySequence) -> bool:
     """True iff seq has >= 1 B, its gap is within the resolved threshold, and
     its B-count satisfies the model's bound (when one is set)."""
     stats = gap_statistics(seq)
-    if stats is None:
-        return False
-    if stats.gap > model.gap_threshold.limit(seq.n):
-        return False
-    if model.b_count is not None:
-        lo, hi = model.b_count
-        if not lo <= seq.b_count <= hi:
-            return False
-    return True
+    lo, hi = model.b_count or (1, seq.n)
+    return (
+        stats is not None
+        and stats.gap <= model.gap_threshold.limit(seq.n)
+        and lo <= seq.b_count <= hi
+    )
 
 
 def type_of(model: ModelSpec, seq: BinarySequence) -> int:
@@ -180,21 +172,13 @@ def valid_set(model: ModelSpec, n: int) -> list[BinarySequence]:
     the full 2**n space."""
     check_enumerable(n)
     limit = model.gap_threshold.limit(n)
-    if model.b_count is None:
-        codes = [
-            code
-            for code in range(1, 1 << n)
-            if code.bit_length() - (code & -code).bit_length() <= limit
-        ]
-    else:
-        lo, hi = model.b_count
-        codes = [
-            code
-            for code in range(1, 1 << n)
-            if code.bit_length() - (code & -code).bit_length() <= limit
-            and lo <= code.bit_count() <= hi
-        ]
-    return [BinarySequence(n, code) for code in codes]
+    lo, hi = model.b_count or (1, n)
+    return [
+        BinarySequence(n, code)
+        for code in range(1, 1 << n)
+        if code.bit_length() - (code & -code).bit_length() <= limit
+        and lo <= code.bit_count() <= hi
+    ]
 
 
 def valid_codes(model: ModelSpec, n: int) -> Iterator[int]:

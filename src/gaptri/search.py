@@ -53,19 +53,18 @@ class SearchFamily:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """One candidate's outcome over the requested rows.
+    """One candidate's outcome over the requested rows: the rows it matches
+    and their number.
 
-    ``ill_typed_rows`` flags rows where the candidate produced a type index
-    k < 1; such a key can never appear in a target row, so those rows are
-    automatically unmatched. The row verdicts themselves are not kept: their
-    histograms grow with the row length, so a family's verdicts over long
-    rows would not fit in memory; ``verify_row`` gives any one of them again.
+    The row verdicts themselves are not kept: their histograms grow with the
+    row length, so a family's verdicts over long rows would not fit in
+    memory; ``verify_row`` gives any one of them again, and ``witness`` says
+    why a row fails, marking a type index k < 1 as ill-typed.
     """
 
     model: ModelSpec
     matched_rows: frozenset[int]
     score: int
-    ill_typed_rows: frozenset[int]
 
 
 def default_family() -> SearchFamily:
@@ -88,17 +87,8 @@ def evaluate_candidate(
     rows: Sequence[int],
 ) -> SearchResult:
     """Outcome of one candidate over the requested rows; pure and picklable."""
-    verdicts = tuple(verify_row(model, triangle, n) for n in rows)
-    matched = frozenset(v.n for v in verdicts if v.matches)
-    ill_typed = frozenset(
-        v.n for v in verdicts if any(k < 1 for k in v.predicted.counts)
-    )
-    return SearchResult(
-        model=model,
-        matched_rows=matched,
-        score=len(matched),
-        ill_typed_rows=ill_typed,
-    )
+    matched = frozenset(n for n in rows if verify_row(model, triangle, n).matches)
+    return SearchResult(model=model, matched_rows=matched, score=len(matched))
 
 
 def run_search(

@@ -41,10 +41,6 @@ class BinarySequence:
         )
 
     @property
-    def has_b(self) -> bool:
-        return self.code != 0
-
-    @property
     def b_count(self) -> int:
         return self.code.bit_count()
 

@@ -18,9 +18,9 @@ OEIS b-file format
     for those ids: callers must always pass the rule.
 
 The triangle is stored ragged, with no zero padding: an entry beyond the end
-of its row is a distinct missing-entry outcome rather than 0, because the
-printed table leaves those cells blank and the obstruction argument counts
-nonzero entries.
+of its row is absent rather than 0 (``verify_row`` gives None, printed as
+"absent"), because the printed table leaves those cells blank and the
+obstruction argument counts nonzero entries.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Callable, Iterable
 
 from .errors import (
     IndexGapError,
-    MissingEntryError,
     MissingRowError,
     TriangleParseError,
     TruncatedRowError,
@@ -65,13 +64,6 @@ class CoefficientTriangle:
         if not 1 <= n <= len(self.rows):
             raise MissingRowError(n)
         return self.rows[n - 1]
-
-    def entry(self, n: int, k: int) -> int:
-        """Entry at row n, column k; a blank cell raises MissingEntryError."""
-        row = self.row(n)
-        if not 1 <= k <= len(row):
-            raise MissingEntryError(n, k)
-        return row[k - 1]
 
 
 _HALF_ROWS: tuple[tuple[int, ...], ...] = (

@@ -20,7 +20,6 @@ from gaptri import (
     gap_statistics,
     is_valid,
     parse_model,
-    resolve_threshold,
     type_for_gap,
     valid_set,
 )
@@ -88,7 +87,7 @@ def oracle_enumerate(n, model_text):
     headers += ["first_B", "last_B", "gap"]
     if model is not None:
         headers += [f"gap<={_threshold_text(model, n)}?", _k_header(model, n), "valid?"]
-        limit = resolve_threshold(model.gap_threshold, n)
+        limit = model.gap_threshold.limit(n)
     body = []
     for seq, stats in oracle_scan(n):
         valid = model is not None and is_valid(model, seq)
@@ -478,6 +477,34 @@ class TestIngest:
         assert "--row-rule" in err
 
 
+class TestTriangleSource:
+    @pytest.mark.parametrize("command", ["verify", "obstruct", "search", "ingest"])
+    @pytest.mark.parametrize("triangle", [[], ["--triangle", "/nonexistent/t.txt"]])
+    def test_row_rule_requires_bfile(self, capsys, tmp_path, command, triangle):
+        out_path = tmp_path / "out.txt"
+        code, out, err = run_cli(
+            capsys, command, *triangle, "--row-rule", "floor(n/2)+1", "--out", str(out_path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "gaptri: error: --row-rule requires --bfile\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "obstruct", "search", "ingest"])
+    @pytest.mark.parametrize("triangle", ["embedded", "/nonexistent/t.txt"])
+    def test_bfile_refuses_triangle(self, capsys, tmp_path, command, triangle):
+        out_path = tmp_path / "out.txt"
+        code, out, err = run_cli(
+            capsys, command, "--triangle", triangle, "--bfile", BFILE_FIXTURE,
+            "--row-rule", "floor(n/2)+1", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "gaptri: error: --bfile cannot be combined with --triangle\n"
+        assert not out_path.exists()
+
+    def test_explicit_embedded_equals_default(self, capsys):
+        assert run_cli(capsys, "ingest", "--triangle", "embedded") == run_cli(capsys, "ingest")
+
+
 class TestOutFile:
     def test_search_out_matches_golden(self, capsys, tmp_path):
         out_path = tmp_path / "search.tsv"
@@ -559,6 +586,14 @@ class TestUsage:
         assert out == ""
         assert err.startswith("usage: gaptri")
         assert "unrecognized arguments: --cap 4" in err
+
+    def test_ingest_format_is_unrecognized(self, capsys):
+        # ingest prints only the native triangle format; it has no --format.
+        code, out, err = run_cli(capsys, "ingest", "--format", "tsv")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: gaptri")
+        assert "unrecognized arguments: --format tsv" in err
 
     def test_cap_over_limit(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "-n", "3", "--cap", "31")

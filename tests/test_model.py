@@ -23,7 +23,6 @@ from gaptri import (
     max_type_count,
     parse_model,
     parse_sequence,
-    resolve_threshold,
     type_histogram,
     type_of,
     valid_set,
@@ -162,6 +161,12 @@ class TestValidSet:
         double = ModelSpec(Constant(1), ParityFlip(), (2, 2))
         assert [str(s) for s in valid_set(double, 3)] == ["RBB", "BBR"]
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(model=MODELS, n=st.integers(1, 10))
+    def test_equals_filtered_enumeration(self, model, n):
+        # The scan's window and is_valid's window are read the same way.
+        assert valid_set(model, n) == [s for s in enumerate_all(n) if is_valid(model, s)]
+
     @pytest.mark.parametrize("model", SAMPLE_MODELS)
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_members_are_valid_and_ordered(self, model, n):
@@ -283,9 +288,9 @@ class TestThreshold:
     @pytest.mark.parametrize("n", range(1, 41))
     def test_resolves_to_its_ceiling(self, n):
         for c in (0, 1, 2, 3, 50):
-            assert resolve_threshold(Constant(c), n) == c
-        assert resolve_threshold(HalfFloor(), n) == n // 2
-        assert resolve_threshold(Unbounded(), n) == n - 1
+            assert Constant(c).limit(n) == c
+        assert HalfFloor().limit(n) == n // 2
+        assert Unbounded().limit(n) == n - 1
 
     def test_factories_normalise_spelling(self):
         model = parse_model("gap<=007; type=parity-paper; bcount=*")

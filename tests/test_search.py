@@ -106,15 +106,6 @@ class TestRunSearch:
             result_record(r) for r in parallel
         ]
 
-    def test_ill_typed_annotation(self):
-        # gap 2 at n=4 maps to k = 2 - 2 = 0 under the parity rule.
-        result = evaluate_candidate(
-            ModelSpec(Constant(2), ParityFlip()), embedded_half_triangle(), (3, 4)
-        )
-        assert 4 in result.ill_typed_rows
-        assert 4 not in result.matched_rows
-        assert 3 not in result.ill_typed_rows
-
     def test_rows_must_exist(self):
         from gaptri import MissingRowError
 
@@ -134,6 +125,16 @@ class TestWitness:
     def test_entry_mismatch(self):
         text = witness(ModelSpec(Unbounded(), ParityFlip()), embedded_half_triangle(), 3)
         assert text.startswith("entry mismatch at k=3")
+
+    def test_ill_typed_row(self):
+        # gap 2 at n=4 maps to k = 2 - 2 = 0 under the parity rule.
+        text = witness(ModelSpec(Constant(2), ParityFlip()), embedded_half_triangle(), 4)
+        assert text == "ill-typed; entry mismatch at k=0: predicted 4, target absent"
+
+    def test_well_typed_row_has_no_prefix(self):
+        # At odd n=3 the parity rule gives k = gap + 1 >= 1: gap 2 is k=3.
+        text = witness(ModelSpec(Constant(2), ParityFlip()), embedded_half_triangle(), 3)
+        assert text == "entry mismatch at k=3: predicted 2, target absent"
 
     def test_matching_row_raises(self):
         with pytest.raises(NotAFailureError):

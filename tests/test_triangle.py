@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from gaptri import (
     CoefficientTriangle,
     IndexGapError,
-    MissingEntryError,
     MissingRowError,
     TriangleParseError,
     TruncatedRowError,
@@ -67,12 +66,6 @@ class TestEmbedded:
             t.row(10)
         with pytest.raises(MissingRowError):
             t.row(0)
-
-    def test_entry_lookup(self):
-        t = embedded_half_triangle()
-        assert t.entry(4, 2) == 12
-        with pytest.raises(MissingEntryError):
-            t.entry(4, 4)
 
 
 class TestRowMeasures:
