@@ -85,7 +85,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_triangle_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--triangle", help="triangle file path or 'embedded'")
+    p.add_argument(
+        "--triangle",
+        help="triangle file path, or 'embedded' for the bundled triangle (the default); "
+        "refused while a file named 'embedded' is in the working directory, "
+        "which './embedded' reads",
+    )
     p.add_argument("--bfile", help="OEIS b-file path (requires --row-rule)")
     p.add_argument("--row-rule", help="'floor(n/2)+1' or 'explicit:l1,l2,...'")
 
@@ -274,13 +279,15 @@ def _cmd_obstruct(args: argparse.Namespace) -> tuple[list[str], int]:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
+    if args.top < 0:
+        raise ValueError("--top must be >= 0")
     triangle = _load_triangle(args)
     lo, hi = _rows_range(args.rows, triangle)
     rows = range(lo, hi + 1)
     results = run_search(default_family(), triangle, rows)
     _write_out(args.out, "".join(result_record(r) + "\n" for r in results))
     body = []
-    for rank, result in enumerate(results[: max(args.top, 0)], start=1):
+    for rank, result in enumerate(results[: args.top], start=1):
         matched = ",".join(str(n) for n in sorted(result.matched_rows)) or "-"
         failure = "-"
         unmatched = [n for n in rows if n not in result.matched_rows]
@@ -332,6 +339,11 @@ def _load_triangle(args: argparse.Namespace) -> CoefficientTriangle:
     if args.bfile is None:
         if args.row_rule is not None:
             raise ValueError("--row-rule requires --bfile")
+        if args.triangle == "embedded" and os.path.exists(args.triangle):
+            raise ValueError(
+                "--triangle embedded names the bundled triangle, but a file 'embedded' "
+                "is in the working directory; pass --triangle ./embedded to read the file"
+            )
         if args.triangle in (None, "embedded"):
             return embedded_half_triangle()
         with open(args.triangle, encoding="utf-8") as handle:

@@ -2,10 +2,15 @@
 
 The family is a fixed Cartesian product rather than an open-ended DSL so that
 a negative outcome is a certificate: "no member matches" quantifies over a
-known candidate set. Candidate evaluations are independent pure computations
-and may run in parallel; the deterministic contract is the sorted output
-order (score descending, then serialized model text ascending), never the
-execution order.
+known candidate set. Many candidates behave alike on a row: a verdict
+depends only on the row, the gap limit clipped to the row length, the type
+map's affine pair at that length and the clipped B-count window. So
+``run_search`` verifies one candidate per such behaviour class and row,
+with a memo that lives only for the call, while ``evaluate_candidate``
+checks one candidate on its own. Candidate evaluations are independent pure
+computations and may run in parallel; the deterministic contract is the
+sorted output order (score descending, then serialized model text
+ascending), never the execution order.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAFailureError
@@ -45,10 +51,8 @@ class SearchFamily:
         return len(self.thresholds) * len(self.type_maps) * len(self.b_count_options)
 
     def candidates(self) -> Iterator[ModelSpec]:
-        for threshold in self.thresholds:
-            for type_map in self.type_maps:
-                for b_count in self.b_count_options:
-                    yield ModelSpec(threshold, type_map, b_count)
+        for parts in product(self.thresholds, self.type_maps, self.b_count_options):
+            yield ModelSpec(*parts)
 
 
 @dataclass(frozen=True)
@@ -99,17 +103,41 @@ def run_search(
     workers: int = 1,
 ) -> list[SearchResult]:
     """Evaluate every candidate and sort by score descending, then by
-    serialized model text ascending. ``workers`` > 1 spreads candidate
-    evaluation over processes; the merged output is identical either way."""
+    serialized model text ascending.
+
+    One verdict is computed per behaviour class of each row (see the module
+    docstring) and shared by the candidates in it; the memo is local to the
+    call, so nothing outlives it. ``workers`` > 1 instead spreads
+    per-candidate evaluation over processes; the merged output is identical
+    either way."""
     row_list = tuple(rows)
     if workers > 1:
         evaluate = partial(evaluate_candidate, triangle=triangle, rows=row_list)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(evaluate, family.candidates(), chunksize=256))
     else:
-        results = [
-            evaluate_candidate(model, triangle, row_list) for model in family.candidates()
+        # One memo per row, from behaviour class to verdict. Each row's keys
+        # come in candidate order, as ``candidates`` walks the same product.
+        memos: list[dict[tuple, bool]] = [{} for _ in row_list]
+        key_rows = [
+            product(
+                [min(t.limit(n), n - 1) for t in family.thresholds],
+                [m.pair(n) for m in family.type_maps],
+                [(lo, min(hi, n)) for lo, hi in (b or (1, n) for b in family.b_count_options)],
+            )
+            for n in row_list
         ]
+        results = []
+        for model, *keys in zip(family.candidates(), *key_rows):
+            hits = []
+            for n, key, memo in zip(row_list, keys, memos):
+                verdict = memo.get(key)
+                if verdict is None:
+                    verdict = memo[key] = verify_row(model, triangle, n).matches
+                if verdict:
+                    hits.append(n)
+            matched = frozenset(hits)
+            results.append(SearchResult(model, matched, len(matched)))
     results.sort(key=lambda r: (-r.score, format_model(r.model)))
     return results
 

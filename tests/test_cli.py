@@ -427,6 +427,16 @@ class TestSearch:
         for line in out.splitlines()[1:]:
             assert "1,2,3" in line
 
+    @pytest.mark.parametrize("top", ["-1", "-3"])
+    def test_negative_top_is_refused(self, capsys, monkeypatch, top):
+        def no_load(args):
+            raise AssertionError("triangle loaded before --top was checked")
+
+        monkeypatch.setattr(cli, "_load_triangle", no_load)
+        code, out, err = run_cli(capsys, "search", "--rows", "1..3", "--top", top)
+        assert (code, out) == (2, "")
+        assert err == "gaptri: error: --top must be >= 0\n"
+
     def test_family_is_unrecognized(self, capsys):
         code, out, err = run_cli(capsys, "search", "--rows", "1..3", "--family", "default")
         assert code == 2
@@ -503,6 +513,22 @@ class TestTriangleSource:
 
     def test_explicit_embedded_equals_default(self, capsys):
         assert run_cli(capsys, "ingest", "--triangle", "embedded") == run_cli(capsys, "ingest")
+
+    @pytest.mark.parametrize("command", ["verify", "obstruct", "search", "ingest"])
+    def test_embedded_beside_a_file_named_embedded_is_refused(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        (tmp_path / "embedded").write_text("1\n1 1\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, command, "--triangle", "embedded")
+        assert (code, out) == (2, "")
+        assert "--triangle ./embedded" in err
+
+    def test_dot_slash_embedded_reads_the_file(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "embedded").write_text("1\n1 1\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "ingest", "--triangle", "./embedded") == (0, "1\n1 1\n", "")
+        assert run_cli(capsys, "ingest") == (0, format_triangle(embedded_half_triangle()), "")
 
 
 class TestOutFile:

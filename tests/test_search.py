@@ -1,17 +1,24 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_long_rows import planted_triangle
 
+import gaptri.search
 from gaptri import (
     Affine,
     Constant,
     EvenOddAffine,
+    HalfFloor,
     ModelSpec,
     NotAFailureError,
     ParityFlip,
+    SearchFamily,
     Unbounded,
     canonical_model,
     default_family,
     embedded_half_triangle,
     evaluate_candidate,
+    format_model,
     result_record,
     run_search,
     type_histogram,
@@ -111,6 +118,69 @@ class TestRunSearch:
 
         with pytest.raises(MissingRowError):
             run_search(default_family(), embedded_half_triangle(), range(9, 11))
+
+
+# Pairs and windows of the planted and canonical models come up often, so
+# that candidates share behaviour classes and some of them match.
+PAIRS = st.one_of(
+    st.sampled_from([(1, 1), (-1, 2)]), st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+)
+FAMILIES = st.builds(
+    SearchFamily,
+    thresholds=st.lists(
+        st.sampled_from([Constant(c) for c in range(5)] + [HalfFloor(), Unbounded()]),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+    type_maps=st.lists(st.builds(EvenOddAffine, PAIRS, PAIRS), min_size=1, max_size=4).map(
+        tuple
+    ),
+    # Windows reaching past the row (hi > n) or wholly beyond it (lo > n).
+    b_count_options=st.lists(
+        st.one_of(
+            st.sampled_from([None, (1, 1), (1, 3), (5, 7), (1, 50)]),
+            st.tuples(st.integers(1, 12), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1])),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+)
+TRIANGLES = st.sampled_from([embedded_half_triangle(), planted_triangle(9)])
+
+
+def behaviour_key(model, n):
+    lo, hi = model.b_count or (1, n)
+    limit = model.gap_threshold.limit(n)
+    return (n, min(limit, n - 1), model.type_map.pair(n), max(lo, 1), min(hi, n))
+
+
+class TestBehaviourClasses:
+    def test_verifies_each_behaviour_once(self, monkeypatch):
+        family, triangle, rows = default_family(), embedded_half_triangle(), range(1, 10)
+        calls = []
+
+        def counting(model, triangle, n):
+            calls.append(behaviour_key(model, n))
+            return verify_row(model, triangle, n)
+
+        monkeypatch.setattr(gaptri.search, "verify_row", counting)
+        run_search(family, triangle, rows)
+        keys = {behaviour_key(m, n) for m in family.candidates() for n in rows}
+        assert len(calls) == len(keys) == 2304  # of 55,944 (candidate, row) pairs
+        assert set(calls) == keys
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        family=FAMILIES,
+        triangle=TRIANGLES,
+        rows=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    )
+    def test_equals_one_candidate_at_a_time(self, family, triangle, rows):
+        expected = sorted(
+            (evaluate_candidate(m, triangle, rows) for m in family.candidates()),
+            key=lambda r: (-r.score, format_model(r.model)),
+        )
+        assert run_search(family, triangle, rows) == expected
 
 
 class TestWitness:
