@@ -10,8 +10,6 @@ import argparse
 import os
 import re
 import sys
-import tempfile
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .errors import GaptriError
@@ -252,7 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     triangle = _load_triangle(args)
     lo, hi = _rows_range(args.rows, triangle)
     verdicts = [verify_row(model, triangle, n) for n in range(lo, hi + 1)]
-    _write_out(args.out, "".join(verdict_record(v) + "\n" for v in verdicts))
+    _write_out(args.out, (verdict_record(v) + "\n" for v in verdicts))
     body = []
     for v in verdicts:
         predicted = ",".join(f"{k}:{c}" for k, c in v.predicted.counts.items()) or "-"
@@ -270,7 +268,7 @@ def _cmd_obstruct(args: argparse.Namespace) -> tuple[list[str], int]:
     triangle = _load_triangle(args)
     lo, hi = _rows_range(args.rows, triangle)
     reports = [obstruction_report(model, triangle, n) for n in range(lo, hi + 1)]
-    _write_out(args.out, "".join(obstruction_record(r) + "\n" for r in reports))
+    _write_out(args.out, (obstruction_record(r) + "\n" for r in reports))
     body = [
         [str(r.n), str(r.provided_types), str(r.required_types), "yes" if r.obstructed else "no"]
         for r in reports
@@ -285,7 +283,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
     lo, hi = _rows_range(args.rows, triangle)
     rows = range(lo, hi + 1)
     results = run_search(default_family(), triangle, rows)
-    _write_out(args.out, "".join(result_record(r) + "\n" for r in results))
+    _write_out(args.out, (result_record(r) + "\n" for r in results))
     body = []
     for rank, result in enumerate(results[: args.top], start=1):
         matched = ",".join(str(n) for n in sorted(result.matched_rows)) or "-"
@@ -304,7 +302,7 @@ def _cmd_ingest(args: argparse.Namespace) -> tuple[list[str], int]:
     triangle = _load_triangle(args)
     text = format_triangle(triangle)
     if args.out:
-        _write_out(args.out, text)
+        _write_out(args.out, [text])
         return [], 0
     return [text], 0
 
@@ -313,23 +311,33 @@ def _cell(value: int | None) -> str:
     return "absent" if value is None else str(value)
 
 
-def _write_out(path: str | None, content: str) -> None:
+def _write_out(path: str | None, lines: Iterable[str]) -> None:
     # Write beside the target, then rename over it: the target holds either
-    # its old bytes or the whole new report, never a partial one.
+    # its old bytes or the whole new report, never a partial one. The lines
+    # are written one by one, never joined into one string.
     if not path:
         return
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    import tempfile  # loaded only by a command that writes a file
+
+    folder, name = os.path.split(path)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=folder or os.curdir, prefix=f".{name}.", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(content)
+            for line in lines:
+                handle.write(line)
         # mkstemp creates the file 0600; give it the mode a plain open would.
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, target)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if tmp is not None and os.path.lexists(tmp):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # Name the path given, not the temporary file beside it, whose
+            # name changes from run to run.
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -27,16 +27,14 @@ same codes in time proportional to their number.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidSequenceError, ModelParseError
 from .sequences import BinarySequence, check_enumerable, gap_statistics
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(NamedTuple):
     """Gap ceiling ``halves * n // 2 + offset`` at length n. ``name`` is the
     wire spelling ``format_model`` prints; build instances through
     ``Constant``, ``HalfFloor`` or ``Unbounded`` so it is normalised."""
@@ -66,8 +64,7 @@ def Unbounded() -> Threshold:
     return Threshold(2, -1, "inf")
 
 
-@dataclass(frozen=True)
-class TypeMap:
+class TypeMap(NamedTuple):
     """k = a*gap + b, with (a, b) = ``even`` for even n and ``odd`` for odd n.
 
     ``name`` is the wire spelling ``format_model`` prints; build instances
@@ -98,33 +95,53 @@ def EvenOddAffine(even: tuple[int, int], odd: tuple[int, int]) -> TypeMap:
     return TypeMap((ea, eb), (oa, ob), f"even({ea},{eb})/odd({oa},{ob})")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class _ModelSpec(NamedTuple):
     gap_threshold: Threshold
     type_map: TypeMap
     b_count: tuple[int, int] | None = None
 
-    def __post_init__(self) -> None:
-        if self.b_count is not None:
-            lo, hi = self.b_count
+
+class ModelSpec(_ModelSpec):
+    __slots__ = ()
+
+    def __new__(
+        cls, gap_threshold: Threshold, type_map: TypeMap, b_count: tuple[int, int] | None = None
+    ) -> ModelSpec:
+        if b_count is not None:
+            lo, hi = b_count
             if lo < 1 or lo > hi:
                 raise ValueError("b-count bounds need 1 <= min <= max")
+        return super().__new__(cls, gap_threshold, type_map, b_count)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> ModelSpec:
+        # ``_replace`` builds through ``_make``, which would skip the checks.
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class TypeHistogram:
+class _TypeHistogram(NamedTuple):
+    counts: dict[int, int]
+    n: int
+
+
+class TypeHistogram(_TypeHistogram):
     """Per-type counts of the valid sequences at one length.
 
     Only realized types are stored (every count >= 1); keys ascend. The total
     of the counts equals the size of the model's valid set at this length.
     """
 
-    counts: dict[int, int]
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(c < 1 for c in self.counts.values()):
+    def __new__(cls, counts: dict[int, int], n: int) -> TypeHistogram:
+        if any(c < 1 for c in counts.values()):
             raise ValueError("histogram stores only nonzero counts")
+        return super().__new__(cls, counts, n)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> TypeHistogram:
+        # ``_replace`` builds through ``_make``, which would skip the checks.
+        return cls(*fields)
 
     @property
     def total(self) -> int:

@@ -10,16 +10,15 @@ with a memo that lives only for the call, while ``evaluate_candidate``
 checks one candidate on its own. Candidate evaluations are independent pure
 computations and may run in parallel; the deterministic contract is the
 sorted output order (score descending, then serialized model text
-ascending), never the execution order.
+ascending), never the execution order. The process pool is imported only
+by ``run_search(..., workers > 1)``, so importing this module does not load
+``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import partial
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotAFailureError
 from .model import (
@@ -38,8 +37,7 @@ from .triangle import CoefficientTriangle
 from .verify import obstruction_report, verify_row
 
 
-@dataclass(frozen=True)
-class SearchFamily:
+class SearchFamily(NamedTuple):
     """Finite candidate set: the product of thresholds x type maps x b-count options."""
 
     thresholds: tuple[Threshold, ...]
@@ -55,8 +53,7 @@ class SearchFamily:
             yield ModelSpec(*parts)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """One candidate's outcome over the requested rows: the rows it matches
     and their number.
 
@@ -108,10 +105,13 @@ def run_search(
     One verdict is computed per behaviour class of each row (see the module
     docstring) and shared by the candidates in it; the memo is local to the
     call, so nothing outlives it. ``workers`` > 1 instead spreads
-    per-candidate evaluation over processes; the merged output is identical
-    either way."""
+    per-candidate evaluation over processes, importing the pool only then;
+    the merged output is identical either way."""
     row_list = tuple(rows)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from functools import partial
+
         evaluate = partial(evaluate_candidate, triangle=triangle, rows=row_list)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(evaluate, family.candidates(), chunksize=256))

@@ -12,8 +12,7 @@ only lengths 1..MAX_N = 30 (``check_enumerable``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptySequenceError, InvalidLengthError, InvalidSymbolError
 
@@ -21,18 +20,27 @@ from .errors import EmptySequenceError, InvalidLengthError, InvalidSymbolError
 MAX_N = 30
 
 
-@dataclass(frozen=True)
-class BinarySequence:
-    """One sequence; ``code`` packs the symbols as described in the module docstring."""
-
+class _BinarySequence(NamedTuple):
     n: int
     code: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+
+class BinarySequence(_BinarySequence):
+    """One sequence; ``code`` packs the symbols as described in the module docstring."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, code: int) -> BinarySequence:
+        if n < 1:
             raise ValueError("sequence length must be >= 1")
-        if not 0 <= self.code < (1 << self.n):
-            raise ValueError(f"code {self.code} out of range for length {self.n}")
+        if not 0 <= code < (1 << n):
+            raise ValueError(f"code {code} out of range for length {n}")
+        return super().__new__(cls, n, code)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> BinarySequence:
+        # ``_replace`` builds through ``_make``, which would skip the checks.
+        return cls(*fields)
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -51,19 +59,28 @@ class BinarySequence:
         return self.n
 
 
-@dataclass(frozen=True)
-class GapStatistics:
-    """First and last B positions of a sequence that contains at least one B."""
-
+class _GapStatistics(NamedTuple):
     first_b: int
     last_b: int
     gap: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.first_b <= self.last_b:
+
+class GapStatistics(_GapStatistics):
+    """First and last B positions of a sequence that contains at least one B."""
+
+    __slots__ = ()
+
+    def __new__(cls, first_b: int, last_b: int, gap: int) -> GapStatistics:
+        if not 1 <= first_b <= last_b:
             raise ValueError("need 1 <= first_b <= last_b")
-        if self.gap != self.last_b - self.first_b:
+        if gap != last_b - first_b:
             raise ValueError("gap must equal last_b - first_b")
+        return super().__new__(cls, first_b, last_b, gap)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> GapStatistics:
+        # ``_replace`` builds through ``_make``, which would skip the checks.
+        return cls(*fields)
 
 
 def parse_sequence(text: str) -> BinarySequence:

@@ -25,8 +25,7 @@ obstruction argument counts nonzero entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
     IndexGapError,
@@ -36,25 +35,34 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class CoefficientTriangle:
+class _CoefficientTriangle(NamedTuple):
+    order_label: str
+    rows: tuple[tuple[int, ...], ...]
+
+
+class CoefficientTriangle(_CoefficientTriangle):
     """Ragged integer triangle; rows index n >= 1, columns k >= 1.
 
     ``order_label`` is only a tag (e.g. "1/2"); no analytic structure is
     attached to it. Every stored entry is >= 1 and row lengths never decrease.
     """
 
-    order_label: str
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, order_label: str, rows: tuple[tuple[int, ...], ...]) -> CoefficientTriangle:
         previous = 0
-        for n, row in enumerate(self.rows, start=1):
+        for n, row in enumerate(rows, start=1):
             if len(row) < previous:
                 raise ValueError(f"row {n} is shorter than row {n - 1}")
             if any(entry < 1 for entry in row):
                 raise ValueError(f"row {n} contains an entry < 1")
             previous = len(row)
+        return super().__new__(cls, order_label, rows)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> CoefficientTriangle:
+        # ``_replace`` builds through ``_make``, which would skip the checks.
+        return cls(*fields)
 
     @property
     def height(self) -> int:

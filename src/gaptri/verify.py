@@ -13,14 +13,13 @@ Machine-readable record formats (UTF-8, one record per line):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ModelSpec, TypeHistogram, max_type_count, type_histogram
 from .triangle import CoefficientTriangle, required_type_count
 
 
-@dataclass(frozen=True)
-class RowVerdict:
+class RowVerdict(NamedTuple):
     """Outcome of checking one triangle row against a model's prediction.
 
     ``mismatch_detail`` lists (k, predicted, target) triples for every type
@@ -35,8 +34,7 @@ class RowVerdict:
     mismatch_detail: tuple[tuple[int, int | None, int | None], ...]
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Counting certificate: a model realizing fewer distinct types than the
     target row has nonzero entries cannot match it."""
 

@@ -586,6 +586,57 @@ class TestOutFile:
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
+class TestOutWrites:
+    def test_search_out_is_written_line_by_line(self, capsys, tmp_path, monkeypatch):
+        writes = []
+        real_fdopen = os.fdopen
+
+        def fdopen_that_counts(fd, *args, **kwargs):
+            handle = real_fdopen(fd, *args, **kwargs)
+            real_write = handle.write
+
+            def write(text):
+                writes.append(len(text))
+                return real_write(text)
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(os, "fdopen", fdopen_that_counts)
+        out_path = tmp_path / "search.tsv"
+        code, _, _ = run_cli(
+            capsys, "search", "--rows", "1..4", "--top", "0", "--out", str(out_path)
+        )
+        assert code == 0
+        golden = SEARCH_GOLDEN.read_bytes()
+        assert out_path.read_bytes() == golden
+        assert len(writes) > 1
+        assert max(writes) <= max(len(line) for line in golden.splitlines(keepends=True))
+
+    def test_missing_directory_names_the_target(self, capsys, tmp_path):
+        target = tmp_path / "nodir" / "x"
+        errors = []
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "verify", "--out", str(target))
+            assert code == 2
+            assert out == ""
+            errors.append(err)
+        expected = (
+            f"gaptri: error: [Errno {errno.ENOENT}] No such file or directory: {str(target)!r}\n"
+        )
+        assert errors == [expected, expected]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_target_names_the_target(self, capsys, tmp_path):
+        target = tmp_path / "report"
+        target.mkdir()
+        code, out, err = run_cli(capsys, "obstruct", "--rows", "4", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"gaptri: error: [Errno {errno.EISDIR}] Is a directory: {str(target)!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
@@ -676,3 +727,18 @@ class TestModuleEntryPoint:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0
         assert err == b""
+
+
+def test_import_loads_no_pool_and_no_dataclasses():
+    # Every CLI call pays for what ``import gaptri.cli`` loads; the process
+    # pool is loaded only by a search with workers > 1.
+    script = (
+        "import sys; before = set(sys.modules); import gaptri.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "gaptri.cli" in added
+    unwanted = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
+    assert not added & unwanted
