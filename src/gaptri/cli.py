@@ -16,12 +16,12 @@ from .errors import GaptriError
 from .model import (
     ModelSpec,
     Unbounded,
+    _bit_count_window,
     _gap_weights,
     format_model,
     parse_model,
     type_for_gap,
     type_histogram,
-    valid_codes,
 )
 from .search import default_family, result_record, run_search, witness
 from .sequences import check_enumerable
@@ -163,7 +163,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     model = parse_model(args.model) if args.model else None
     if args.valid_only and model is None:
         raise ValueError("--valid-only requires --model")
-    n = args.n
+    n, fmt = args.n, args.format
     check_enumerable(n)
     headers = ["sequence", "has_B"]
     show_bcount = model is not None and model.b_count is not None
@@ -175,18 +175,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
         limit = model.gap_threshold.limit(n)
         lo, hi = model.b_count or (1, n)
 
-    def cells(code: int) -> list[str]:
-        # Every cell after the sequence depends only on the highest and
-        # lowest set bits and, when a B-count window is set, the bit count.
-        if code == 0:
+    def cells(high: int, low: int, count: int) -> list[str]:
+        # The cells after the sequence depend only on the bit lengths of the
+        # code and of its lowest set bit, and on its bit count (high = 0 is
+        # the row with no B).
+        if high == 0:
             row = ["No"] + (["0"] if show_bcount else []) + ["--", "--", "--"]
             return row + (["--", "--", "No"] if model is not None else [])
-        high, low = code.bit_length(), (code & -code).bit_length()
         gap = high - low
-        row = ["Yes"] + ([str(code.bit_count())] if show_bcount else [])
+        row = ["Yes"] + ([str(count)] if show_bcount else [])
         row += [str(n - high + 1), str(n - low + 1), str(gap)]
         if model is not None:
-            valid = gap <= limit and lo <= code.bit_count() <= hi
+            valid = gap <= limit and lo <= count <= hi
             row += [
                 "Yes" if gap <= limit else "No",
                 str(type_for_gap(model, n, gap)),
@@ -197,15 +197,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     # Column widths before any row: a row's cells have the widths of the
     # row with the same gap and B-count whose last B is at position n, so one
     # such row per (gap, B-count) pair that the listing contains suffices.
-    samples = [] if args.valid_only else [0]
+    samples = [] if args.valid_only else [(0, 0, 0)]
     for gap in range(n):
         for b in range(2 if gap else 1, gap + 2):
             if not args.valid_only or (gap <= limit and lo <= b <= hi):
-                samples.append((1 << gap) | ((1 << (b - 1)) - 1))
-    spelling = f"0{n}b"
-    widths = _widths(
-        headers, ([format(c, spelling).translate(_SYMBOLS)] + cells(c) for c in samples)
-    )
+                samples.append((gap + 1, 1, b))
+    widths = _widths(headers, (["R" * n] + cells(*sample) for sample in samples))
     # No line is longer than its padded cells, separators and newline.
     line_bytes = sum(widths) + 2 * (len(widths) - 1) + 1
     rows = type_histogram(model, n).total if args.valid_only else 1 << n
@@ -213,27 +210,67 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
         raise ValueError(
             f"{rows} rows could exceed {_LISTING_BYTES} bytes; list fewer with --valid-only"
         )
-    codes = valid_codes(model, n) if args.valid_only else range(1 << n)
+    # --valid-only keeps the rows with lo..hi B's; the full listing keeps all.
+    keep_lo, keep_hi = (lo, hi) if args.valid_only else (0, n)
+    lead = "\t" if fmt == "tsv" else " " * (widths[0] - n) + "  "
+    # Most low bits a block may span: 2**most lines fit in one write.
+    most = max(_CHUNK_BYTES // line_bytes, 1).bit_length() - 1
 
-    def chunks() -> Iterator[str]:
-        # The text after the sequence cell, its padding and separator
-        # included, is cached by the bits it depends on: O(n**3) keys at most.
-        lead = "\t" if args.format == "tsv" else " " * (widths[0] - n) + "  "
-        tails: dict[tuple[int, int, int], str] = {}
-        per_chunk = max(1, _CHUNK_BYTES // line_bytes)
-        chunk = [_line(headers, widths, args.format)]
-        for code in codes:
-            key = (code.bit_length(), code & -code, code.bit_count() if show_bcount else 0)
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = lead + _line(cells(code), widths[1:], args.format)
-            chunk.append(format(code, spelling).translate(_SYMBOLS) + tail)
-            if len(chunk) == per_chunk:
-                yield "".join(chunk)
-                chunk = []
-        yield "".join(chunk)
+    def tail(high: int, low: int, count: int) -> str:
+        return lead + _line(cells(high, low, count), widths[1:], fmt)
 
-    return chunks(), 0
+    def blocks() -> Iterator[str]:
+        # A block is the rows top | (mh << bits | ml) << shift of one mh: their head
+        # joined over the ml suffixes, made once per (h, key = B's in top | mh).
+        yield _line(headers, widths, fmt)
+        if not args.valid_only:
+            yield "R" * n + tail(0, 0, 0)
+        for h in range(n):
+            top = 1 << h
+            w, shift = (min(h, limit), max(h - limit, 0)) if args.valid_only else (h, 0)
+            bits = min(most, w)
+            pad = "R" * shift
+            tables: dict[int, list[str]] = {}
+            for mh in _bit_count_window(w - bits, keep_lo - 1 - bits, keep_hi - 1):
+                key = mh.bit_count() + 1 if show_bcount else 1
+                table = tables.get(key)
+                if table is None:
+                    # The text after the low bits, by the bit length of
+                    # ml's lowest set bit and ml's bit count.
+                    ends = {
+                        (low, count): pad + tail(h + 1, low + shift, key + count)
+                        for count in range(max(keep_lo - key, 1), min(keep_hi - key, bits) + 1)
+                        for low in range(1, bits + 2 - count)
+                    }
+                    table = tables[key] = [
+                        format(ml | 1 << bits, "b")[1:].translate(_SYMBOLS)
+                        + ends[(ml & -ml).bit_length(), ml.bit_count()]
+                        for ml in _bit_count_window(bits, keep_lo - key, keep_hi - key)
+                        if ml
+                    ]
+                head = "R" * (n - 1 - h) + format(mh | 1 << (w - bits), "b").translate(_SYMBOLS)
+                block = head + head.join(table) if table else ""
+                if keep_lo <= key <= keep_hi:
+                    code = top | mh << (bits + shift)
+                    first = tail(h + 1, (code & -code).bit_length(), code.bit_count())
+                    block = head + "R" * (bits + shift) + first + block
+                yield block
+
+    return _coalesced(blocks()), 0
+
+
+def _coalesced(blocks: Iterable[str]) -> Iterator[str]:
+    # Joins neighbouring blocks into writes of at most _CHUNK_BYTES (a block
+    # longer than that is written alone).
+    pending: list[str] = []
+    size = 0
+    for block in blocks:
+        if size + len(block) > _CHUNK_BYTES and pending:
+            yield "".join(pending)
+            pending, size = [], 0
+        pending.append(block)
+        size += len(block)
+    yield "".join(pending)
 
 
 _SYMBOLS = str.maketrans("01", "RB")

@@ -212,16 +212,23 @@ def valid_codes(model: ModelSpec, n: int) -> Iterator[int]:
     lo, hi = model.b_count or (1, n)
     for h in range(n):
         top, shift = 1 << h, max(h - limit, 0)
-        m, end = 0, 1 << min(h, limit)
-        while m < end:
-            count = m.bit_count() + 1
-            if count > hi:
-                m += m & -m  # codes before the carry only add B's
-            elif count < lo:
-                m |= m + 1  # first later code with more B's than m
-            else:
-                yield top | (m << shift)
-                m += 1
+        for m in _bit_count_window(min(h, limit), lo - 1, hi - 1):
+            yield top | (m << shift)
+
+
+def _bit_count_window(bits: int, lo: int, hi: int) -> Iterator[int]:
+    # The m < 2**bits with lo <= m.bit_count() <= hi, ascending; runs of m
+    # outside the window are stepped over whole. Needs hi >= 0.
+    m, end = 0, 1 << bits
+    while m < end:
+        count = m.bit_count()
+        if count > hi:
+            m += m & -m  # values before the carry only add set bits
+        elif count < lo:
+            m |= m + 1  # first later value with more set bits than m
+        else:
+            yield m
+            m += 1
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaptri import (
     ModelSpec,
@@ -21,6 +23,7 @@ from gaptri import (
     is_valid,
     parse_model,
     type_for_gap,
+    type_histogram,
     valid_set,
 )
 from gaptri import cli
@@ -109,6 +112,12 @@ def oracle_enumerate(n, model_text):
                 ]
         body.append(cells)
     return headers, body
+
+
+def listing_lines(text):
+    """Lines with their ends, so that a failed comparison of two long
+    listings reports the first differing line instead of diffing both."""
+    return text.splitlines(keepends=True)
 
 
 TOO_LONG = "gaptri: error: {} rows could exceed {} bytes; list fewer with --valid-only\n"
@@ -261,7 +270,10 @@ class TestEnumerate:
         assert (code, out) == (2, "")
         assert err == TOO_LONG.format(rows, 2**32)
 
-    def test_rows_stream_in_bounded_writes(self, monkeypatch):
+    @staticmethod
+    def write_sizes(monkeypatch, argv):
+        """The stdout of main(argv) and the length of each write it made."""
+
         class Sink(io.StringIO):
             def __init__(self):
                 super().__init__()
@@ -273,11 +285,65 @@ class TestEnumerate:
 
         sink = Sink()
         monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        return sink.getvalue(), sink.sizes
+
+    @staticmethod
+    def assert_coalesced(sizes):
+        # No write is longer than a chunk, and no two neighbours would fit
+        # in one: small blocks are joined, never written one by one.
+        assert max(sizes) <= cli._CHUNK_BYTES
+        assert all(a + b > cli._CHUNK_BYTES for a, b in zip(sizes, sizes[1:]))
+
+    def test_rows_stream_in_bounded_writes(self, monkeypatch):
         model = "gap<=inf; type=affine(1,1); bcount=*"
-        assert main(["enumerate", "-n", "16", "--model", model]) == 0
-        assert len(sink.sizes) > 1
-        assert max(sink.sizes) <= 256 * 1024
-        assert sink.getvalue() == oracle_render(*oracle_enumerate(16, model), "table")
+        out, sizes = self.write_sizes(monkeypatch, ["enumerate", "-n", "16", "--model", model])
+        assert len(sizes) > 1
+        self.assert_coalesced(sizes)
+        expected = oracle_render(*oracle_enumerate(16, model), "table")
+        assert listing_lines(out) == listing_lines(expected)
+
+    def test_narrow_valid_listing_writes_are_coalesced(self, monkeypatch):
+        # Two to four B's: each block holds a few rows, far below a chunk,
+        # while the listing (2,500 rows) takes more than one.
+        model = "gap<=inf; type=affine(1,1); bcount=2..4"
+        argv = ["enumerate", "-n", "16", "--model", model, "--valid-only"]
+        out, sizes = self.write_sizes(monkeypatch, argv)
+        assert len(sizes) > 1
+        self.assert_coalesced(sizes)
+        headers, body = oracle_enumerate(16, model)
+        rows = [cells for cells in body if cells[-1] == "Yes"]
+        assert listing_lines(out) == listing_lines(oracle_render(headers, rows, "table"))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 9),
+        model=st.none()
+        | st.builds(
+            "gap<={}; type={}; bcount={}".format,
+            st.sampled_from(GRID_THRESHOLDS),
+            st.sampled_from(GRID_TYPE_MAPS),
+            st.sampled_from(GRID_WINDOWS),
+        ),
+        valid_only=st.booleans(),
+        fmt=st.sampled_from(["table", "tsv"]),
+        chunk=st.integers(64, 4096),
+    )
+    def test_split_blocks_equal_buffered_oracle(self, n, model, valid_only, fmt, chunk):
+        # Small chunks split each highest-B run into many blocks (down to
+        # one row each), which the default chunk never does at n <= 10.
+        valid_only = valid_only and model is not None
+        argv = ["enumerate", "-n", str(n), "--format", fmt]
+        argv += ["--model", model] if model else []
+        argv += ["--valid-only"] if valid_only else []
+        headers, body = oracle_enumerate(n, model)
+        rows = [cells for cells in body if cells[-1] == "Yes"] if valid_only else body
+        sink = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CHUNK_BYTES", chunk)
+            patch.setattr(sys, "stdout", sink)
+            assert main(argv) == 0
+        assert sink.getvalue() == oracle_render(headers, rows, fmt), argv
 
     @pytest.mark.parametrize(
         "argv",
@@ -318,6 +384,17 @@ class TestValidCodes:
         elapsed = time.perf_counter() - started
         assert code == 0
         assert len(out.splitlines()) == 1 + 30
+        assert elapsed < 1.0
+
+    def test_top_window_is_output_sized(self, capsys):
+        # 25 or 26 B's of 26: a few rows for each high part of a block, none
+        # of them under the highest B's but the last two.
+        started = time.perf_counter()
+        model = "gap<=inf; type=affine(1,1); bcount=25..26"
+        code, out, _ = run_cli(capsys, "enumerate", "-n", "26", "--model", model, "--valid-only")
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert len(out.splitlines()) == 1 + type_histogram(parse_model(model), 26).total
         assert elapsed < 1.0
 
 
