@@ -410,8 +410,6 @@ def _parse_row_rule(text: str) -> Callable[[int], int]:
             lengths = tuple(int(tok) for tok in text[len("explicit:") :].split(","))
         except ValueError:
             raise ValueError(f"bad explicit row rule {text!r}") from None
-        if not lengths:
-            raise ValueError("explicit row rule needs at least one length")
 
         def rule(n: int) -> int:
             if n > len(lengths):

@@ -19,9 +19,9 @@ e.g. ``gap<=1; type=parity-paper; bcount=*`` for the canonical model.
 
 Type histograms come from the closed-form gap/B-count census (n sequences
 with gap 0, and (n - g) * C(g - 1, b - 2) with gap g >= 1 and b B's), so
-they accept any length n >= 1. ``valid_set`` scans all 2**n codes, so like
-``enumerate_all`` it accepts n <= MAX_N = 30; ``valid_codes`` generates the
-same codes in time proportional to their number.
+they accept any length n >= 1. ``valid_set`` visits only the valid codes, so
+it takes time in proportion to its output; like ``enumerate_all`` it accepts
+n <= MAX_N = 30, which bounds the list it returns.
 """
 
 from __future__ import annotations
@@ -185,35 +185,20 @@ def type_of(model: ModelSpec, seq: BinarySequence) -> int:
 
 
 def valid_set(model: ModelSpec, n: int) -> list[BinarySequence]:
-    """All valid length-n sequences in lexicographic order, found by scanning
-    the full 2**n space."""
+    """All valid length-n sequences in lexicographic order (ascending code).
+
+    For each highest B at bit h, the other B's lie in the ``min(h, limit)``
+    bits just below it, so only codes within the gap threshold are visited;
+    runs of inner bits outside the B-count window are stepped over whole.
+    """
     check_enumerable(n)
     limit = model.gap_threshold.limit(n)
     lo, hi = model.b_count or (1, n)
     return [
-        BinarySequence(n, code)
-        for code in range(1, 1 << n)
-        if code.bit_length() - (code & -code).bit_length() <= limit
-        and lo <= code.bit_count() <= hi
+        BinarySequence(n, 1 << h | m << max(h - limit, 0))
+        for h in range(n)
+        for m in _bit_count_window(min(h, limit), lo - 1, hi - 1)
     ]
-
-
-def valid_codes(model: ModelSpec, n: int) -> Iterator[int]:
-    """Codes of the valid length-n sequences, ascending (so in lexicographic
-    order), built from the first B rather than found by a scan.
-
-    For each highest set bit h, the other B's lie in the ``min(h, limit)``
-    bits just below it, so only codes within the gap threshold are visited;
-    runs of inner bits outside the B-count window are stepped over whole.
-    Does no length check: callers that take n from outside bound it first
-    (``check_enumerable``).
-    """
-    limit = model.gap_threshold.limit(n)
-    lo, hi = model.b_count or (1, n)
-    for h in range(n):
-        top, shift = 1 << h, max(h - limit, 0)
-        for m in _bit_count_window(min(h, limit), lo - 1, hi - 1):
-            yield top | (m << shift)
 
 
 def _bit_count_window(bits: int, lo: int, hi: int) -> Iterator[int]:

@@ -44,10 +44,6 @@ class SearchFamily(NamedTuple):
     type_maps: tuple[TypeMap, ...]
     b_count_options: tuple[tuple[int, int] | None, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.thresholds) * len(self.type_maps) * len(self.b_count_options)
-
     def candidates(self) -> Iterator[ModelSpec]:
         for parts in product(self.thresholds, self.type_maps, self.b_count_options):
             yield ModelSpec(*parts)

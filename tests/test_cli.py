@@ -28,7 +28,6 @@ from gaptri import (
 )
 from gaptri import cli
 from gaptri.cli import _k_header, _threshold_text, main
-from gaptri.model import valid_codes
 
 BFILE_FIXTURE = str(Path(__file__).parent / "data" / "b223168_rows_1_9.txt")
 SEARCH_GOLDEN = Path(__file__).parent / "golden" / "search_default_rows_1_4.tsv"
@@ -365,7 +364,7 @@ class TestValidCodes:
     def test_equals_scan_for_every_family_model(self):
         # Validity reads only the threshold and the B-count window, so one
         # check per pair covers every model of the family. The extra windows
-        # make the generator step over runs of too few and too many B's.
+        # make valid_set's walk step over runs of too few and too many B's.
         family = default_family()
         for n in range(1, 13):
             windows = family.b_count_options + ((3, 5), (4, 4), (2, n), (n, n))
@@ -374,8 +373,8 @@ class TestValidCodes:
                     if window is not None and window[0] > window[1]:
                         continue
                     model = ModelSpec(threshold, family.type_maps[0], window)
-                    expected = [seq.code for seq in valid_set(model, n)]
-                    assert list(valid_codes(model, n)) == expected, (model, n)
+                    expected = [s for s in enumerate_all(n) if is_valid(model, s)]
+                    assert valid_set(model, n) == expected, (model, n)
 
     def test_narrow_window_is_output_sized(self, capsys):
         started = time.perf_counter()
@@ -547,6 +546,13 @@ class TestIngest:
         )
         assert code == 0
         assert out == "4\n5 6\n"
+
+    def test_empty_explicit_rule_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ingest", "--bfile", BFILE_FIXTURE, "--row-rule", "explicit:"
+        )
+        assert (code, out) == (2, "")
+        assert err == "gaptri: error: bad explicit row rule 'explicit:'\n"
 
     def test_bad_bfile_is_operational_error(self, capsys, tmp_path):
         bfile = tmp_path / "b.txt"

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 from math import comb
 
@@ -10,6 +11,7 @@ from gaptri import (
     Constant,
     EvenOddAffine,
     HalfFloor,
+    InvalidLengthError,
     InvalidSequenceError,
     ModelParseError,
     ModelSpec,
@@ -27,7 +29,7 @@ from gaptri import (
     type_of,
     valid_set,
 )
-from gaptri.model import _gap_weights, valid_codes
+from gaptri.model import _gap_weights
 
 
 def string_histogram(model, n):
@@ -164,7 +166,7 @@ class TestValidSet:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(model=MODELS, n=st.integers(1, 10))
     def test_equals_filtered_enumeration(self, model, n):
-        # The scan's window and is_valid's window are read the same way.
+        # The walk's window and is_valid's window are read the same way.
         assert valid_set(model, n) == [s for s in enumerate_all(n) if is_valid(model, s)]
 
     @pytest.mark.parametrize("model", SAMPLE_MODELS)
@@ -174,6 +176,21 @@ class TestValidSet:
         assert all(is_valid(model, s) for s in seqs)
         codes = [s.code for s in seqs]
         assert codes == sorted(codes)
+
+    @pytest.mark.parametrize("n", [0, 31])
+    def test_length_outside_enumerable_range_is_rejected(self, n):
+        # The walk is output-sized, but a gap<=inf list at n = 31 would hold
+        # 2**31 - 1 sequences, so the cap bounds memory rather than time.
+        with pytest.raises(InvalidLengthError):
+            valid_set(canonical_model(), n)
+
+    def test_n30_walk_is_output_sized(self):
+        # A scan would visit 2**30 codes to find these 59.
+        started = time.perf_counter()
+        seqs = valid_set(canonical_model(), 30)
+        elapsed = time.perf_counter() - started
+        assert len(seqs) == 59
+        assert elapsed < 1
 
 
 class TestTypeHistogram:
@@ -263,7 +280,7 @@ class TestClosedFormCensus:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(model=MODELS, n=st.integers(1, 12))
     def test_total_equals_generated_codes(self, model, n):
-        assert type_histogram(model, n).total == len(list(valid_codes(model, n)))
+        assert type_histogram(model, n).total == len(valid_set(model, n))
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_length_below_one_is_rejected(self, n):

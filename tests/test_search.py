@@ -31,7 +31,8 @@ from gaptri import (
 class TestDefaultFamily:
     def test_size(self):
         family = default_family()
-        assert family.size == 6216
+        parts = (family.thresholds, family.type_maps, family.b_count_options)
+        assert [len(p) for p in parts] == [6, 259, 4]
         assert sum(1 for _ in family.candidates()) == 6216
 
     def test_duplicate_type_maps(self):
