@@ -12,7 +12,7 @@ import re
 import sys
 from typing import Callable, Iterable, Iterator
 
-from .errors import GaptriError
+from .errors import GaptriError, MissingRowError
 from .model import (
     ModelSpec,
     Unbounded,
@@ -432,6 +432,9 @@ def _rows_range(text: str | None, triangle: CoefficientTriangle) -> tuple[int, i
     hi = int(match.group(2)) if match.group(2) else lo
     if lo < 1 or hi < lo:
         raise ValueError("row range needs 1 <= a <= b")
+    if hi > triangle.height:
+        # The first missing row, refused before any row is worked on.
+        raise MissingRowError(max(lo, triangle.height + 1))
     return lo, hi
 
 

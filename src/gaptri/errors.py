@@ -4,6 +4,13 @@
 class GaptriError(Exception):
     """Base class for every error this package raises on purpose."""
 
+    def __reduce__(self):
+        # Rebuild from ``args`` without __init__, whose parameters differ, so
+        # an error from a worker process keeps its type, text and fields.
+        import copyreg
+
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+
 
 class EmptySequenceError(GaptriError):
     def __init__(self) -> None:

@@ -6,18 +6,17 @@ known candidate set. Many candidates behave alike on a row: a verdict
 depends only on the row, the gap limit clipped to the row length, the type
 map's affine pair at that length and the clipped B-count window. So
 ``run_search`` verifies one candidate per such behaviour class and row,
-with a memo that lives only for the call, while ``evaluate_candidate``
-checks one candidate on its own. Candidate evaluations are independent pure
-computations and may run in parallel; the deterministic contract is the
-sorted output order (score descending, then serialized model text
-ascending), never the execution order. The process pool is imported only
-by ``run_search(..., workers > 1)``, so importing this module does not load
-``concurrent.futures`` or ``multiprocessing``.
+while ``evaluate_candidate`` checks one candidate on its own. The
+deterministic contract is the sorted output order (score descending, then
+serialized model text ascending), never the execution order. The process
+pool is imported only by ``run_search(..., workers > 1)``, so importing
+this module does not load ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import partial
+from itertools import compress, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotAFailureError
@@ -83,9 +82,27 @@ def evaluate_candidate(
     triangle: CoefficientTriangle,
     rows: Sequence[int],
 ) -> SearchResult:
-    """Outcome of one candidate over the requested rows; pure and picklable."""
+    """Outcome of one candidate, row by row: the reference for ``run_search``."""
     matched = frozenset(n for n in rows if verify_row(model, triangle, n).matches)
     return SearchResult(model=model, matched_rows=matched, score=len(matched))
+
+
+def _row_verdicts(family: SearchFamily, triangle: CoefficientTriangle, n: int) -> bytes:
+    """One flag per candidate, in candidate order: 1 when it matches row n.
+    Only the first candidate of each behaviour class is verified."""
+    memo: dict[tuple, bool] = {}
+    keys = product(
+        [min(t.limit(n), n - 1) for t in family.thresholds],
+        [m.pair(n) for m in family.type_maps],
+        [(lo, min(hi, n)) for lo, hi in (b or (1, n) for b in family.b_count_options)],
+    )
+    flags = bytearray()
+    for parts, key in zip(product(*family), keys):
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = memo[key] = verify_row(ModelSpec(*parts), triangle, n).matches
+        flags.append(verdict)
+    return bytes(flags)
 
 
 def run_search(
@@ -98,42 +115,23 @@ def run_search(
     """Evaluate every candidate and sort by score descending, then by
     serialized model text ascending.
 
-    One verdict is computed per behaviour class of each row (see the module
-    docstring) and shared by the candidates in it; the memo is local to the
-    call, so nothing outlives it. ``workers`` > 1 instead spreads
-    per-candidate evaluation over processes, importing the pool only then;
-    the merged output is identical either way."""
+    Each row gives one column of verdicts (``_row_verdicts``); ``workers`` > 1
+    computes the columns in that many processes, importing the pool only
+    then. The merged output is identical either way."""
     row_list = tuple(rows)
+    verdicts = partial(_row_verdicts, family, triangle)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
-        evaluate = partial(evaluate_candidate, triangle=triangle, rows=row_list)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, family.candidates(), chunksize=256))
+            columns = list(pool.map(verdicts, row_list))
     else:
-        # One memo per row, from behaviour class to verdict. Each row's keys
-        # come in candidate order, as ``candidates`` walks the same product.
-        memos: list[dict[tuple, bool]] = [{} for _ in row_list]
-        key_rows = [
-            product(
-                [min(t.limit(n), n - 1) for t in family.thresholds],
-                [m.pair(n) for m in family.type_maps],
-                [(lo, min(hi, n)) for lo, hi in (b or (1, n) for b in family.b_count_options)],
-            )
-            for n in row_list
-        ]
-        results = []
-        for model, *keys in zip(family.candidates(), *key_rows):
-            hits = []
-            for n, key, memo in zip(row_list, keys, memos):
-                verdict = memo.get(key)
-                if verdict is None:
-                    verdict = memo[key] = verify_row(model, triangle, n).matches
-                if verdict:
-                    hits.append(n)
-            matched = frozenset(hits)
-            results.append(SearchResult(model, matched, len(matched)))
+        columns = list(map(verdicts, row_list))
+    results = []
+    # Not zip(*columns): with no rows that would drop every candidate.
+    for model, *flags in zip(family.candidates(), *columns):
+        matched = frozenset(compress(row_list, flags))
+        results.append(SearchResult(model, matched, len(matched)))
     results.sort(key=lambda r: (-r.score, format_model(r.model)))
     return results
 

@@ -747,6 +747,23 @@ class TestUsage:
         assert err.startswith("usage: gaptri")
         assert "unrecognized arguments: --cap 4" in err
 
+    @pytest.mark.parametrize(
+        ("argv", "row"),
+        [
+            (["search", "--rows", "1..2000000000", "--top", "0"], 10),
+            (["search", "--rows", "5..20"], 10),
+            (["verify", "--rows", "20..30"], 20),
+            (["obstruct", "--rows", "1..100000"], 10),
+        ],
+    )
+    def test_rows_past_the_triangle_are_refused_at_once(self, capsys, tmp_path, argv, row):
+        out_path = tmp_path / "out.txt"
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert time.perf_counter() - started < 1
+        assert (code, out, err) == (2, "", f"gaptri: error: triangle has no row {row}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_ingest_format_is_unrecognized(self, capsys):
         # ingest prints only the native triangle format; it has no --format.
         code, out, err = run_cli(capsys, "ingest", "--format", "tsv")

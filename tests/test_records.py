@@ -1,10 +1,12 @@
 """The contract every record type keeps: immutable, picklable, equal by value,
-and, for the records with checks, checked however an instance is built."""
+and, for the records with checks, checked however an instance is built; and
+every error type survives a pickle."""
 
 import pickle
 
 import pytest
 
+import gaptri.errors
 from gaptri import (
     BinarySequence,
     CoefficientTriangle,
@@ -117,3 +119,37 @@ def test_hash_follows_value():
 def test_binary_sequence_len_is_its_length():
     assert len(BinarySequence(5, 3)) == 5
     assert BinarySequence(5, 3)._replace(n=7) == BinarySequence(7, 3)
+
+
+ERRORS = [
+    gaptri.errors.GaptriError("plain message"),
+    gaptri.errors.EmptySequenceError(),
+    gaptri.errors.InvalidSymbolError(3, "x"),
+    gaptri.errors.InvalidLengthError(31, 30),
+    gaptri.errors.InvalidSequenceError("not valid under the model"),
+    gaptri.errors.ModelParseError("cannot parse model"),
+    gaptri.errors.TriangleParseError(7, "not an integer"),
+    gaptri.errors.IndexGapError(4, 6),
+    gaptri.errors.TruncatedRowError(5),
+    gaptri.errors.MissingRowError(10),
+    gaptri.errors.NotAFailureError(2),
+]
+
+
+def test_every_error_type_is_covered():
+    defined = {
+        obj
+        for obj in vars(gaptri.errors).values()
+        if isinstance(obj, type) and issubclass(obj, gaptri.errors.GaptriError)
+    }
+    assert {type(error) for error in ERRORS} == defined
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda e: type(e).__name__)
+def test_error_pickle_round_trip(error):
+    # Errors raised in a worker process reach the caller through a pickle.
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert copy.args == error.args
+    assert vars(copy) == vars(error)

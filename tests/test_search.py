@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,8 @@ from gaptri import (
     verify_row,
     witness,
 )
+
+SEARCH_GOLDEN = Path(__file__).parent / "golden" / "search_default_rows_1_4.tsv"
 
 
 class TestDefaultFamily:
@@ -107,18 +111,34 @@ class TestRunSearch:
 
     def test_parallel_merge_equals_sequential(self):
         family = default_family()
-        triangle = embedded_half_triangle()
-        sequential = run_search(family, triangle, range(1, 3), workers=1)
-        parallel = run_search(family, triangle, range(1, 3), workers=2)
-        assert [result_record(r) for r in sequential] == [
-            result_record(r) for r in parallel
-        ]
+        parallel = run_search(family, embedded_half_triangle(), range(1, 10), workers=2)
+        records = "".join(result_record(r) + "\n" for r in parallel)
+        assert records == SEARCH_GOLDEN.read_text(encoding="utf-8")
+        triangle = planted_triangle(12)
+        sequential = run_search(family, triangle, range(1, 13), workers=1)
+        assert run_search(family, triangle, range(1, 13), workers=2) == sequential
+        assert sequential[0].score > 0
+
+    def test_no_rows_keeps_every_candidate(self):
+        results = run_search(default_family(), embedded_half_triangle(), ())
+        assert len(results) == 6216
+        assert {(r.score, r.matched_rows) for r in results} == {(0, frozenset())}
+        texts = [format_model(r.model) for r in results]
+        assert texts == sorted(texts)
 
     def test_rows_must_exist(self):
         from gaptri import MissingRowError
 
         with pytest.raises(MissingRowError):
             run_search(default_family(), embedded_half_triangle(), range(9, 11))
+
+    def test_missing_row_crosses_the_pool_intact(self):
+        from gaptri import MissingRowError
+
+        with pytest.raises(MissingRowError) as caught:
+            run_search(default_family(), embedded_half_triangle(), range(9, 11), workers=2)
+        assert str(caught.value) == "triangle has no row 10"
+        assert caught.value.row == 10
 
 
 # Pairs and windows of the planted and canonical models come up often, so
