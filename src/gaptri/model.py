@@ -18,16 +18,16 @@ Models serialize to a single line, grammar::
 e.g. ``gap<=1; type=parity-paper; bcount=*`` for the canonical model.
 
 Type histograms come from the closed-form gap/B-count census (n sequences
-with gap 0, and (n - g) * C(g - 1, b - 2) with gap g >= 1 and b B's), so
-they accept any length n >= 1. ``valid_set`` visits only the valid codes, so
-it takes time in proportion to its output; like ``enumerate_all`` it accepts
-n <= MAX_N = 30, which bounds the list it returns.
+with gap 0, and (n - g) * C(g - 1, b - 2) with gap g >= 1 and b B's), read
+only up to the gap limit and with no memo, so any n >= 1 is accepted.
+``valid_set`` visits only the valid codes, in time proportional to its
+output; like ``enumerate_all`` it accepts n <= MAX_N = 30, to bound its list.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidSequenceError, ModelParseError
@@ -193,6 +193,8 @@ def valid_set(model: ModelSpec, n: int) -> list[BinarySequence]:
     """
     check_enumerable(n)
     limit = model.gap_threshold.limit(n)
+    if limit < 0:
+        return []
     lo, hi = model.b_count or (1, n)
     return [
         BinarySequence(n, 1 << h | m << max(h - limit, 0))
@@ -216,24 +218,20 @@ def _bit_count_window(bits: int, lo: int, hi: int) -> Iterator[int]:
             m += 1
 
 
-@lru_cache(maxsize=None)
-def _gap_weights(n: int, b_count: tuple[int, int] | None) -> tuple[int, ...]:
+def _gap_weights(n: int, b_count: tuple[int, int] | None) -> Iterator[int]:
     # Entry g (0 <= g < n) counts the length-n sequences with gap g whose
-    # B-count lies in the window (any B-count when None). Closed-form census:
-    # a gap-0 sequence is one B at one of n places; a gap-g sequence has its
-    # outer B's at one of n - g places and g - 1 free inner symbols, so
-    # (n - g) * C(g - 1, b - 2) of them carry b B's. ``row`` is Pascal's row
-    # C(g - 1, 0..g - 1), carried from g to g + 1 by one pass of additions,
-    # so a call costs O(n**2) additions. The memo is unbounded: a search asks
-    # for every (n, window) pair of its rows thousands of times, and a bound
-    # smaller than that set evicts each entry before its reuse.
+    # B-count lies in the window (any when None): n at g = 0 (one B, n places)
+    # and (n - g) * s at g >= 1 (outer B's at n - g places, g - 1 inner
+    # symbols), where s sums C(g - 1, b - 2) over the window's B-counts b.
+    # Pascal's rule carries s to g + 1 in O(1) big-int steps; there is no memo.
     lo, hi = b_count or (1, n)
-    weights = [n if lo <= 1 <= hi else 0]
-    row = [1]
+    a, b = max(lo - 2, 0), hi - 2
+    yield n if lo <= 1 <= hi else 0
+    s = 1 if a == 0 <= b else 0
     for g in range(1, n):
-        weights.append((n - g) * sum(row[max(lo - 2, 0) : hi - 1]))
-        row = [1, *map(sum, zip(row, row[1:])), 1]
-    return tuple(weights)
+        yield (n - g) * s
+        if b >= 0:
+            s = 2 * s - comb(g - 1, b) + (comb(g - 1, a - 1) if a else 0)
 
 
 def type_histogram(model: ModelSpec, n: int) -> TypeHistogram:
@@ -245,10 +243,11 @@ def type_histogram(model: ModelSpec, n: int) -> TypeHistogram:
     if n < 1:
         raise ValueError("sequence length must be >= 1")
     limit = model.gap_threshold.limit(n)
+    a, b = model.type_map.pair(n)
     counts: dict[int, int] = {}
-    for gap, weight in enumerate(_gap_weights(n, model.b_count)[: limit + 1]):
+    for gap, weight in zip(range(limit + 1), _gap_weights(n, model.b_count)):
         if weight:
-            k = type_for_gap(model, n, gap)
+            k = a * gap + b
             counts[k] = counts.get(k, 0) + weight
     return TypeHistogram(dict(sorted(counts.items())), n)
 

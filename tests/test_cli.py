@@ -5,7 +5,6 @@ import stat
 import subprocess
 import sys
 import time
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from gaptri import (
     ModelSpec,
+    Threshold,
     count_by_gap,
     default_family,
     embedded_half_triangle,
@@ -72,7 +72,6 @@ def oracle_render(headers, rows, fmt):
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=1)
 def oracle_scan(n):
     """One BinarySequence and its GapStatistics per code of the 2**n scan."""
     return [(seq, gap_statistics(seq)) for seq in enumerate_all(n)]
@@ -364,11 +363,13 @@ class TestValidCodes:
     def test_equals_scan_for_every_family_model(self):
         # Validity reads only the threshold and the B-count window, so one
         # check per pair covers every model of the family. The extra windows
-        # make valid_set's walk step over runs of too few and too many B's.
+        # make valid_set's walk step over runs of too few and too many B's;
+        # the extra threshold is negative at n = 2 and 3.
         family = default_family()
+        thresholds = family.thresholds + (Threshold(1, -3, "n/2-3"),)
         for n in range(1, 13):
             windows = family.b_count_options + ((3, 5), (4, 4), (2, n), (n, n))
-            for threshold in family.thresholds:
+            for threshold in thresholds:
                 for window in windows:
                     if window is not None and window[0] > window[1]:
                         continue

@@ -25,8 +25,8 @@ from gaptri import (
     parse_triangle,
     run_search,
 )
+from gaptri import model as model_module
 from gaptri.cli import main
-from gaptri.model import _gap_weights
 
 PLANTED = ModelSpec(HalfFloor(), Affine(1, 1), (1, 3))
 ROWS = 40
@@ -76,20 +76,33 @@ class TestPlantedPastMaxN:
         assert results[0].score == ROWS
         assert results[1].score < ROWS
 
-    def test_census_memo_computes_each_row_and_window_once(self):
+    def test_census_memo_computes_each_row_and_window_once(self, monkeypatch):
+        # The census keeps no memo, so the search's behaviour classes alone
+        # bound how often it runs: once per distinct (n, limit clipped to
+        # n - 1, type pair at n, window clipped to 1..n).
         rows = 100
         family = SearchFamily(
             thresholds=(Constant(1), HalfFloor(), Unbounded()),
             type_maps=(ParityFlip(), Affine(1, 1)),
             b_count_options=(None, (1, 1), (1, 3)),
         )
-        _gap_weights.cache_clear()
+        calls = []
+        census = model_module._gap_weights
+
+        def counted(n, window):
+            calls.append(n)
+            return census(n, window)
+
+        monkeypatch.setattr(model_module, "_gap_weights", counted)
         run_search(family, planted_triangle(rows), range(1, rows + 1))
-        # One census per row and window, except where the search shares a
-        # verdict between windows that clip to the same one: at n = 1, None,
-        # (1, 1) and (1, 3) are all 1..1, and at n = 2 and n = 3, (1, 3) and
-        # None are both 1..n. So 4 fewer than rows * 3.
-        assert _gap_weights.cache_info().misses == rows * 3 - 4
+        keys = {
+            (n, min(t.limit(n), n - 1), m.pair(n), (lo, min(hi, n)))
+            for n in range(1, rows + 1)
+            for t in family.thresholds
+            for m in family.type_maps
+            for lo, hi in (w or (1, n) for w in family.b_count_options)
+        }
+        assert len(calls) == len(keys)
 
     def test_search_results_keep_no_row_histograms(self):
         rows = 100
@@ -99,7 +112,7 @@ class TestPlantedPastMaxN:
             b_count_options=(None, (1, 3)),
         )
         triangle = planted_triangle(rows)
-        run_search(family, triangle, range(1, rows + 1))  # fills the census memo
+        run_search(family, triangle, range(1, rows + 1))  # builds any lazy state untraced
         tracemalloc.start()
         try:
             results = run_search(family, triangle, range(1, rows + 1))

@@ -16,6 +16,7 @@ from gaptri import (
     ModelParseError,
     ModelSpec,
     ParityFlip,
+    Threshold,
     Unbounded,
     canonical_model,
     enumerate_all,
@@ -210,6 +211,17 @@ class TestTypeHistogram:
     def test_total_equals_valid_set_size(self, model, n):
         assert type_histogram(model, n).total == len(valid_set(model, n))
 
+    def test_negative_limit_counts_only_valid_sequences(self):
+        # n/2 - 3 is negative at n = 2 and 3, where no sequence is valid.
+        model = ModelSpec(Threshold(1, -3, "n/2-3"), Affine(1, 1))
+        for n in range(1, 13):
+            expected = {}
+            for seq in enumerate_all(n):
+                if is_valid(model, seq):
+                    k = type_of(model, seq)
+                    expected[k] = expected.get(k, 0) + 1
+            assert type_histogram(model, n).counts == dict(sorted(expected.items())), n
+
     @pytest.mark.parametrize("n", range(1, 17))
     def test_canonical_types_within_two(self, n):
         realized = set(type_histogram(canonical_model(), n).counts)
@@ -236,7 +248,10 @@ class TestTypeHistogram:
 
 
 def census_windows(n):
-    return [None, (1, 1), (1, 2), (2, 2), (3, 5), (n, n), (n + 1, n + 1), (1, n + 5)]
+    edges = [None, (1, 1), (1, 2), (2, 2), (3, 5), (n, n), (n + 1, n + 1), (1, n + 5)]
+    # Inside 1..n and growing with n: a low end of 3 or more and a high end
+    # below n, so both ends of the census recurrence move on long rows too.
+    return edges + [(4, n // 2 + 4), (n // 2 + 1, n)]
 
 
 def comb_weights(n, window):
@@ -258,12 +273,28 @@ class TestClosedFormCensus:
                 sum(c for (gap, b), c in census.items() if gap == g and lo <= b <= hi)
                 for g in range(n)
             )
-            assert _gap_weights(n, window) == expected, window
+            assert tuple(_gap_weights(n, window)) == expected, window
 
     def test_weights_equal_binomial_sums_past_max_n(self):
         for n in range(1, 81):
             for window in census_windows(n):
-                assert _gap_weights(n, window) == comb_weights(n, window), (n, window)
+                assert tuple(_gap_weights(n, window)) == comb_weights(n, window), (n, window)
+
+    def test_canonical_histogram_reads_only_to_its_limit(self):
+        # Gap <= 1 reads two census entries, however long the row.
+        started = time.perf_counter()
+        counts = type_histogram(canonical_model(), 10**6).counts
+        elapsed = time.perf_counter() - started
+        assert counts == {1: 999999, 2: 1000000}
+        assert elapsed < 1
+
+    def test_full_census_is_linear_in_big_int_steps(self):
+        model = parse_model("gap<=inf; type=affine(1,1); bcount=*")
+        started = time.perf_counter()
+        total = type_histogram(model, 2000).total
+        elapsed = time.perf_counter() - started
+        assert total == 2**2000 - 1
+        assert elapsed < 0.5
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(model=MODELS, n=st.integers(1, 10))
