@@ -151,7 +151,7 @@ def _k_header(model: ModelSpec, n: int) -> str:
     return f"k={a}*gap{b:+d}"
 
 
-#: Bytes per write while streaming a listing; rows are never cut.
+#: Most bytes in one block; rows are never cut.
 _CHUNK_BYTES = 1 << 16
 
 #: Most bytes a listing may print; a larger one is refused before its first row.
@@ -222,6 +222,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     def blocks() -> Iterator[str]:
         # A block is the rows top | (mh << bits | ml) << shift of one mh: their head
         # joined over the ml suffixes, made once per (h, key = B's in top | mh).
+        # No block is empty: mh's window keeps key >= keep_lo - bits, so a
+        # block with no ml rows (bits = 0 or key = keep_hi) has key in the
+        # window and holds its first row. Each block is written as it is
+        # made; stdout's own buffer batches the small ones.
         yield _line(headers, widths, fmt)
         if not args.valid_only:
             yield "R" * n + tail(0, 0, 0)
@@ -256,21 +260,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
                     block = head + "R" * (bits + shift) + first + block
                 yield block
 
-    return _coalesced(blocks()), 0
-
-
-def _coalesced(blocks: Iterable[str]) -> Iterator[str]:
-    # Joins neighbouring blocks into writes of at most _CHUNK_BYTES (a block
-    # longer than that is written alone).
-    pending: list[str] = []
-    size = 0
-    for block in blocks:
-        if size + len(block) > _CHUNK_BYTES and pending:
-            yield "".join(pending)
-            pending, size = [], 0
-        pending.append(block)
-        size += len(block)
-    yield "".join(pending)
+    return blocks(), 0
 
 
 _SYMBOLS = str.maketrans("01", "RB")

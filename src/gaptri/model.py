@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import re
 from math import comb
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidSequenceError, ModelParseError
-from .sequences import BinarySequence, check_enumerable, gap_statistics
+from .sequences import BinarySequence, _Checked, check_enumerable, gap_statistics
 
 
 class Threshold(NamedTuple):
@@ -101,7 +101,7 @@ class _ModelSpec(NamedTuple):
     b_count: tuple[int, int] | None = None
 
 
-class ModelSpec(_ModelSpec):
+class ModelSpec(_Checked, _ModelSpec):
     __slots__ = ()
 
     def __new__(
@@ -113,18 +113,13 @@ class ModelSpec(_ModelSpec):
                 raise ValueError("b-count bounds need 1 <= min <= max")
         return super().__new__(cls, gap_threshold, type_map, b_count)
 
-    @classmethod
-    def _make(cls, fields: Iterable) -> ModelSpec:
-        # ``_replace`` builds through ``_make``, which would skip the checks.
-        return cls(*fields)
-
 
 class _TypeHistogram(NamedTuple):
     counts: dict[int, int]
     n: int
 
 
-class TypeHistogram(_TypeHistogram):
+class TypeHistogram(_Checked, _TypeHistogram):
     """Per-type counts of the valid sequences at one length.
 
     Only realized types are stored (every count >= 1); keys ascend. The total
@@ -137,11 +132,6 @@ class TypeHistogram(_TypeHistogram):
         if any(c < 1 for c in counts.values()):
             raise ValueError("histogram stores only nonzero counts")
         return super().__new__(cls, counts, n)
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> TypeHistogram:
-        # ``_replace`` builds through ``_make``, which would skip the checks.
-        return cls(*fields)
 
     @property
     def total(self) -> int:

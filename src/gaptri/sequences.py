@@ -20,12 +20,25 @@ from .errors import EmptySequenceError, InvalidLengthError, InvalidSymbolError
 MAX_N = 30
 
 
+class _Checked:
+    """Base of the records whose ``__new__`` checks its fields.
+
+    ``_replace`` builds through ``_make``, which would otherwise skip the checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields: Iterable):
+        return cls(*fields)
+
+
 class _BinarySequence(NamedTuple):
     n: int
     code: int
 
 
-class BinarySequence(_BinarySequence):
+class BinarySequence(_Checked, _BinarySequence):
     """One sequence; ``code`` packs the symbols as described in the module docstring."""
 
     __slots__ = ()
@@ -36,11 +49,6 @@ class BinarySequence(_BinarySequence):
         if not 0 <= code < (1 << n):
             raise ValueError(f"code {code} out of range for length {n}")
         return super().__new__(cls, n, code)
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> BinarySequence:
-        # ``_replace`` builds through ``_make``, which would skip the checks.
-        return cls(*fields)
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -65,7 +73,7 @@ class _GapStatistics(NamedTuple):
     gap: int
 
 
-class GapStatistics(_GapStatistics):
+class GapStatistics(_Checked, _GapStatistics):
     """First and last B positions of a sequence that contains at least one B."""
 
     __slots__ = ()
@@ -76,11 +84,6 @@ class GapStatistics(_GapStatistics):
         if gap != last_b - first_b:
             raise ValueError("gap must equal last_b - first_b")
         return super().__new__(cls, first_b, last_b, gap)
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> GapStatistics:
-        # ``_replace`` builds through ``_make``, which would skip the checks.
-        return cls(*fields)
 
 
 def parse_sequence(text: str) -> BinarySequence:

@@ -33,6 +33,7 @@ from .errors import (
     TriangleParseError,
     TruncatedRowError,
 )
+from .sequences import _Checked
 
 
 class _CoefficientTriangle(NamedTuple):
@@ -40,7 +41,7 @@ class _CoefficientTriangle(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
 
-class CoefficientTriangle(_CoefficientTriangle):
+class CoefficientTriangle(_Checked, _CoefficientTriangle):
     """Ragged integer triangle; rows index n >= 1, columns k >= 1.
 
     ``order_label`` is only a tag (e.g. "1/2"); no analytic structure is
@@ -58,11 +59,6 @@ class CoefficientTriangle(_CoefficientTriangle):
                 raise ValueError(f"row {n} contains an entry < 1")
             previous = len(row)
         return super().__new__(cls, order_label, rows)
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> CoefficientTriangle:
-        # ``_replace`` builds through ``_make``, which would skip the checks.
-        return cls(*fields)
 
     @property
     def height(self) -> int:

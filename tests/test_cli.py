@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import os
 import stat
@@ -287,28 +288,27 @@ class TestEnumerate:
         return sink.getvalue(), sink.sizes
 
     @staticmethod
-    def assert_coalesced(sizes):
-        # No write is longer than a chunk, and no two neighbours would fit
-        # in one: small blocks are joined, never written one by one.
-        assert max(sizes) <= cli._CHUNK_BYTES
-        assert all(a + b > cli._CHUNK_BYTES for a, b in zip(sizes, sizes[1:]))
+    def assert_bounded(sizes):
+        # Every write is one non-empty block of at most a chunk; stdout's
+        # own buffer batches the small ones.
+        assert all(0 < size <= cli._CHUNK_BYTES for size in sizes)
 
     def test_rows_stream_in_bounded_writes(self, monkeypatch):
         model = "gap<=inf; type=affine(1,1); bcount=*"
         out, sizes = self.write_sizes(monkeypatch, ["enumerate", "-n", "16", "--model", model])
         assert len(sizes) > 1
-        self.assert_coalesced(sizes)
+        self.assert_bounded(sizes)
         expected = oracle_render(*oracle_enumerate(16, model), "table")
         assert listing_lines(out) == listing_lines(expected)
 
-    def test_narrow_valid_listing_writes_are_coalesced(self, monkeypatch):
+    def test_narrow_valid_listing_writes_are_bounded(self, monkeypatch):
         # Two to four B's: each block holds a few rows, far below a chunk,
-        # while the listing (2,500 rows) takes more than one.
+        # and is written on its own.
         model = "gap<=inf; type=affine(1,1); bcount=2..4"
         argv = ["enumerate", "-n", "16", "--model", model, "--valid-only"]
         out, sizes = self.write_sizes(monkeypatch, argv)
         assert len(sizes) > 1
-        self.assert_coalesced(sizes)
+        self.assert_bounded(sizes)
         headers, body = oracle_enumerate(16, model)
         rows = [cells for cells in body if cells[-1] == "Yes"]
         assert listing_lines(out) == listing_lines(oracle_render(headers, rows, "table"))
@@ -719,6 +719,74 @@ class TestOutWrites:
         assert out == ""
         assert err == f"gaptri: error: [Errno {errno.EISDIR}] Is a directory: {str(target)!r}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+
+def write_planted60(path):
+    """Rows 1..60 of the triangle planted by gap<=inf; type=affine(1,1); bcount=*.
+
+    Row n counts n sequences of gap 0, then (n - g) * 2**(g - 1) of each gap g >= 1.
+    """
+    rows = ([n] + [(n - g) * 2 ** (g - 1) for g in range(1, n)] for n in range(1, 61))
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
+
+
+class TestByteContract:
+    """sha256 of whole outputs, the same digests the CI console-script step checks.
+
+    A case with ``--out`` digests that file; the others digest stdout.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["stats", "-n", "30"],
+                "6b022c3cd36f2067d306a3125b00e9afccd6379e54104541bf24ac994a6a387e",
+            ),
+            (
+                ["enumerate", "-n", "17"],
+                "144c842cf4ce04514b381bcf1d46999a6126f66162cea31b884849bba812e857",
+            ),
+            (
+                ["enumerate", "-n", "16", "--model", "gap<=3; type=parity-paper; bcount=2..4"]
+                + ["--format", "tsv"],
+                "c49170195ddb6e5ac010aafb33f88d0c4248b3f945de1878faaa9e9c387b2978",
+            ),
+            (
+                ["enumerate", "-n", "20", "--valid-only", "--model"]
+                + ["gap<=n/2; type=even(-1,2)/odd(2,-3); bcount=3..5"],
+                "664102565ace7c603380ef834c5d0a79354feedb714968027fa4ea709b03e97d",
+            ),
+            (
+                ["enumerate", "-n", "16", "--valid-only", "--model"]
+                + ["gap<=inf; type=affine(1,1); bcount=2..4"],
+                "5d3ffbe667309c1958705089a028c032c57d27a2ee62194ae7abbf47e560ed2e",
+            ),
+            (
+                ["search", "--triangle", "planted60.txt", "--rows", "1..60", "--top", "0"]
+                + ["--out", "p60.tsv"],
+                "845e8ba0fac320ea7a5162dd2ff2b188cd3a28f5a2198e0d66dfb251d404fff9",
+            ),
+        ],
+        ids=[
+            "stats-30",
+            "enumerate-17",
+            "parity-tsv-16",
+            "even-odd-valid-20",
+            "affine-valid-16",
+            "planted-search-60",
+        ],
+    )
+    def test_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.chdir(tmp_path)
+        write_planted60(tmp_path / "planted60.txt")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        if "--out" in argv:
+            data = (tmp_path / argv[argv.index("--out") + 1]).read_bytes()
+        else:
+            data = out.encode()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestUsage:
