@@ -2,21 +2,21 @@
 
 The family is a fixed Cartesian product rather than an open-ended DSL so that
 a negative outcome is a certificate: "no member matches" quantifies over a
-known candidate set. Many candidates behave alike on a row: a verdict
-depends only on the row, the gap limit clipped to the row length, the type
-map's affine pair at that length and the clipped B-count window. So
-``run_search`` verifies one candidate per such behaviour class and row,
-while ``evaluate_candidate`` checks one candidate on its own. The
-deterministic contract is the sorted output order (score descending, then
-serialized model text ascending), never the execution order. The process
-pool is imported only by ``run_search(..., workers > 1)``, so importing
-this module does not load ``concurrent.futures`` or ``multiprocessing``.
+known candidate set. ``run_search`` takes the candidates one group at a time,
+the type maps under one threshold and B-count option. A group shares one
+valid set, so a row whose sum differs from its size matches no member and
+is skipped; a row that passes is verified once per type pair.
+``evaluate_candidate`` checks one candidate alone. Output is sorted by score
+descending, then serialized model text ascending, whatever the execution
+order. The process pool is imported only by ``run_search(..., workers > 1)``,
+so importing this module does not load ``concurrent.futures`` or
+``multiprocessing``.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import compress, product
+from itertools import chain, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotAFailureError
@@ -31,8 +31,9 @@ from .model import (
     TypeMap,
     Unbounded,
     format_model,
+    type_histogram,
 )
-from .triangle import CoefficientTriangle
+from .triangle import CoefficientTriangle, row_sum
 from .verify import obstruction_report, verify_row
 
 
@@ -87,22 +88,27 @@ def evaluate_candidate(
     return SearchResult(model=model, matched_rows=matched, score=len(matched))
 
 
-def _row_verdicts(family: SearchFamily, triangle: CoefficientTriangle, n: int) -> bytes:
-    """One flag per candidate, in candidate order: 1 when it matches row n.
-    Only the first candidate of each behaviour class is verified."""
-    memo: dict[tuple, bool] = {}
-    keys = product(
-        [min(t.limit(n), n - 1) for t in family.thresholds],
-        [m.pair(n) for m in family.type_maps],
-        [(lo, min(hi, n)) for lo, hi in (b or (1, n) for b in family.b_count_options)],
-    )
-    flags = bytearray()
-    for parts, key in zip(product(*family), keys):
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = memo[key] = verify_row(ModelSpec(*parts), triangle, n).matches
-        flags.append(verdict)
-    return bytes(flags)
+def _group_results(
+    type_maps: tuple[TypeMap, ...],
+    triangle: CoefficientTriangle,
+    rows: tuple[int, ...],
+    group: tuple[Threshold, tuple[int, int] | None],
+) -> list[SearchResult]:
+    """Outcomes of one group's candidates, in type-map order: only rows whose
+    sum equals the group's histogram total are verified, once per type pair."""
+    threshold, b_count = group
+    models = [ModelSpec(threshold, m, b_count) for m in type_maps]
+    if not models:
+        return []
+    # The row first: an absent row is refused before any census work.
+    live = [n for n in rows if row_sum(triangle, n) == type_histogram(models[0], n).total]
+    checked = {(n, model.type_map.pair(n)): model for model in models for n in live}
+    verdicts = {key: verify_row(model, triangle, key[0]).matches for key, model in checked.items()}
+    results = []
+    for model in models:
+        matched = frozenset(n for n in live if verdicts[n, model.type_map.pair(n)])
+        results.append(SearchResult(model, matched, len(matched)))
+    return results
 
 
 def run_search(
@@ -113,27 +119,19 @@ def run_search(
     workers: int = 1,
 ) -> list[SearchResult]:
     """Evaluate every candidate and sort by score descending, then by
-    serialized model text ascending.
-
-    Each row gives one column of verdicts (``_row_verdicts``); ``workers`` > 1
-    computes the columns in that many processes, importing the pool only
-    then. The merged output is identical either way."""
-    row_list = tuple(rows)
-    verdicts = partial(_row_verdicts, family, triangle)
+    serialized model text ascending. ``workers`` > 1 maps the (threshold,
+    B-count option) groups over that many processes, importing the pool only
+    then; the output is identical."""
+    groups = product(family.thresholds, family.b_count_options)
+    evaluate = partial(_group_results, family.type_maps, triangle, tuple(rows))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(verdicts, row_list))
+            parts = list(pool.map(evaluate, groups))
     else:
-        columns = list(map(verdicts, row_list))
-    results = []
-    # Not zip(*columns): with no rows that would drop every candidate.
-    for model, *flags in zip(family.candidates(), *columns):
-        matched = frozenset(compress(row_list, flags))
-        results.append(SearchResult(model, matched, len(matched)))
-    results.sort(key=lambda r: (-r.score, format_model(r.model)))
-    return results
+        parts = list(map(evaluate, groups))
+    return sorted(chain.from_iterable(parts), key=lambda r: (-r.score, format_model(r.model)))
 
 
 def witness(model: ModelSpec, triangle: CoefficientTriangle, n: int) -> str:

@@ -721,12 +721,12 @@ class TestOutWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
-def write_planted60(path):
-    """Rows 1..60 of the triangle planted by gap<=inf; type=affine(1,1); bcount=*.
+def write_planted(path, height):
+    """Rows 1..height of the triangle planted by gap<=inf; type=affine(1,1); bcount=*.
 
     Row n counts n sequences of gap 0, then (n - g) * 2**(g - 1) of each gap g >= 1.
     """
-    rows = ([n] + [(n - g) * 2 ** (g - 1) for g in range(1, n)] for n in range(1, 61))
+    rows = ([n] + [(n - g) * 2 ** (g - 1) for g in range(1, n)] for n in range(1, height + 1))
     path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
 
 
@@ -767,6 +767,11 @@ class TestByteContract:
                 + ["--out", "p60.tsv"],
                 "845e8ba0fac320ea7a5162dd2ff2b188cd3a28f5a2198e0d66dfb251d404fff9",
             ),
+            (
+                ["search", "--triangle", "planted200.txt", "--rows", "1..200", "--top", "0"]
+                + ["--out", "p200.tsv"],
+                "4e32ea3efb4090a6c59c03750c0de616455cd9c7f4d7cf379abf638c316c453d",
+            ),
         ],
         ids=[
             "stats-30",
@@ -775,11 +780,13 @@ class TestByteContract:
             "even-odd-valid-20",
             "affine-valid-16",
             "planted-search-60",
+            "planted-search-200",
         ],
     )
     def test_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)
-        write_planted60(tmp_path / "planted60.txt")
+        write_planted(tmp_path / "planted60.txt", 60)
+        write_planted(tmp_path / "planted200.txt", 200)
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         if "--out" in argv:

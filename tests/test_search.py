@@ -22,6 +22,7 @@ from gaptri import (
     evaluate_candidate,
     format_model,
     result_record,
+    row_sum,
     run_search,
     type_histogram,
     valid_set,
@@ -132,6 +133,16 @@ class TestRunSearch:
         with pytest.raises(MissingRowError):
             run_search(default_family(), embedded_half_triangle(), range(9, 11))
 
+    def test_row_zero_is_a_missing_row(self):
+        from gaptri import MissingRowError
+
+        with pytest.raises(MissingRowError):
+            run_search(default_family(), embedded_half_triangle(), [0])
+
+    def test_no_type_maps_reads_no_row(self):
+        family = default_family()._replace(type_maps=())
+        assert run_search(family, embedded_half_triangle(), range(1, 12)) == []
+
     def test_missing_row_crosses_the_pool_intact(self):
         from gaptri import MissingRowError
 
@@ -142,7 +153,7 @@ class TestRunSearch:
 
 
 # Pairs and windows of the planted and canonical models come up often, so
-# that candidates share behaviour classes and some of them match.
+# that candidates share type pairs and row totals and some of them match.
 PAIRS = st.one_of(
     st.sampled_from([(1, 1), (-1, 2)]), st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 )
@@ -169,26 +180,27 @@ FAMILIES = st.builds(
 TRIANGLES = st.sampled_from([embedded_half_triangle(), planted_triangle(9)])
 
 
-def behaviour_key(model, n):
-    lo, hi = model.b_count or (1, n)
-    limit = model.gap_threshold.limit(n)
-    return (n, min(limit, n - 1), model.type_map.pair(n), max(lo, 1), min(hi, n))
-
-
 class TestBehaviourClasses:
-    def test_verifies_each_behaviour_once(self, monkeypatch):
+    def test_verifies_each_live_row_and_type_pair_once(self, monkeypatch):
+        # A row is checked only where the model's histogram total equals the
+        # row sum, and once per (threshold, window, row, type pair).
         family, triangle, rows = default_family(), embedded_half_triangle(), range(1, 10)
         calls = []
 
         def counting(model, triangle, n):
-            calls.append(behaviour_key(model, n))
+            calls.append((model.gap_threshold, model.b_count, n, model.type_map.pair(n)))
             return verify_row(model, triangle, n)
 
+        live = {
+            (m.gap_threshold, m.b_count, n, m.type_map.pair(n))
+            for m in family.candidates()
+            for n in rows
+            if type_histogram(m, n).total == row_sum(triangle, n)
+        }
         monkeypatch.setattr(gaptri.search, "verify_row", counting)
         run_search(family, triangle, rows)
-        keys = {behaviour_key(m, n) for m in family.candidates() for n in rows}
-        assert len(calls) == len(keys) == 2304  # of 55,944 (candidate, row) pairs
-        assert set(calls) == keys
+        assert len(calls) == len(set(calls)) == 512  # of 55,944 (candidate, row) pairs
+        assert set(calls) == live
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
