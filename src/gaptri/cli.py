@@ -23,7 +23,7 @@ from .model import (
     type_for_gap,
     type_histogram,
 )
-from .search import default_family, result_record, run_search, witness
+from .search import default_family, rank_search, witness
 from .sequences import check_enumerable
 from .triangle import (
     CoefficientTriangle,
@@ -309,17 +309,18 @@ def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
     triangle = _load_triangle(args)
     lo, hi = _rows_range(args.rows, triangle)
     rows = range(lo, hi + 1)
-    results = run_search(default_family(), triangle, rows)
-    _write_out(args.out, (result_record(r) + "\n" for r in results))
+    lines, ranked = rank_search(default_family(), triangle, rows)
+    _write_out(args.out, lines)
     body = []
-    for rank, result in enumerate(results[: args.top], start=1):
+    for rank in range(min(args.top, len(lines))):
+        result = ranked(rank)
         matched = ",".join(str(n) for n in sorted(result.matched_rows)) or "-"
         failure = "-"
         unmatched = [n for n in rows if n not in result.matched_rows]
         if unmatched:
             failure = f"row {unmatched[0]}: " + witness(result.model, triangle, unmatched[0])
         body.append(
-            [str(rank), format_model(result.model), str(result.score), matched, failure]
+            [str(rank + 1), format_model(result.model), str(result.score), matched, failure]
         )
     text = _render(["rank", "model", "score", "matched", "first_failure"], body, args.format)
     return [text], 0
@@ -351,8 +352,7 @@ def _write_out(path: str | None, lines: Iterable[str]) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=folder or os.curdir, prefix=f".{name}.", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line)
+            handle.writelines(lines)
         # mkstemp creates the file 0600; give it the mode a plain open would.
         umask = os.umask(0)
         os.umask(umask)

@@ -27,6 +27,7 @@ output; like ``enumerate_all`` it accepts n <= MAX_N = 30, to bound its list.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -242,6 +243,14 @@ def type_histogram(model: ModelSpec, n: int) -> TypeHistogram:
     return TypeHistogram(dict(sorted(counts.items())), n)
 
 
+def _valid_total(model: ModelSpec, n: int) -> int:
+    # type_histogram(model, n).total without the histogram: the census
+    # summed up to the gap limit. A limit below -1 reads no entry, as the
+    # histogram's empty range does; islice refuses a negative stop.
+    limit = model.gap_threshold.limit(n)
+    return sum(islice(_gap_weights(n, model.b_count), max(limit + 1, 0)))
+
+
 def max_type_count(model: ModelSpec, n: int) -> int:
     """Number of distinct type values the model realizes at length n."""
     return len(type_histogram(model, n).counts)
@@ -249,8 +258,15 @@ def max_type_count(model: ModelSpec, n: int) -> int:
 
 def format_model(model: ModelSpec) -> str:
     """Single-line text form of a model, per the grammar in the module docstring."""
-    bcount = "*" if model.b_count is None else f"{model.b_count[0]}..{model.b_count[1]}"
-    return f"gap<={model.gap_threshold.name}; type={model.type_map.name}; bcount={bcount}"
+    head, tail = _text_around_type(model.gap_threshold, model.b_count)
+    return head + model.type_map.name + tail
+
+
+def _text_around_type(threshold: Threshold, b_count: tuple[int, int] | None) -> tuple[str, str]:
+    # The text form before and after the type-map name, which type maps
+    # under one threshold and B-count option share.
+    bcount = "*" if b_count is None else f"{b_count[0]}..{b_count[1]}"
+    return f"gap<={threshold.name}; type=", f"; bcount={bcount}"
 
 
 _SPELLED_THRESHOLDS = {"n/2": HalfFloor(), "inf": Unbounded()}

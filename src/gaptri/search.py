@@ -2,22 +2,26 @@
 
 The family is a fixed Cartesian product rather than an open-ended DSL so that
 a negative outcome is a certificate: "no member matches" quantifies over a
-known candidate set. ``run_search`` takes the candidates one group at a time,
-the type maps under one threshold and B-count option. A group shares one
-valid set, so a row whose sum differs from its size matches no member and
-is skipped; a row that passes is verified once per type pair.
-``evaluate_candidate`` checks one candidate alone. Output is sorted by score
-descending, then serialized model text ascending, whatever the execution
-order. The process pool is imported only by ``run_search(..., workers > 1)``,
-so importing this module does not load ``concurrent.futures`` or
-``multiprocessing``.
+known candidate set. ``rank_search`` takes the candidates one group at a
+time, the type maps under one threshold and B-count option. A group shares
+one valid set, so a row whose sum differs from its size matches no member
+and is skipped; a row that passes is verified once per type pair, and the
+type maps with equal verdicts share one score, matched-row set and record
+end. It ranks by score descending, then serialized model text ascending,
+whatever the execution order, and returns every candidate's record line,
+each text built once from its group's spelling and its type map's name;
+the CLI writes those lines as they are and builds a ``SearchResult`` only
+for the rows it prints. ``run_search`` builds one for every candidate from
+the same ranking. ``evaluate_candidate`` checks one candidate alone. The
+process pool is imported only by ``workers > 1``, so importing this module
+does not load ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, product
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, compress, product
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotAFailureError
 from .model import (
@@ -30,8 +34,9 @@ from .model import (
     Threshold,
     TypeMap,
     Unbounded,
+    _text_around_type,
+    _valid_total,
     format_model,
-    type_histogram,
 )
 from .triangle import CoefficientTriangle, row_sum
 from .verify import obstruction_report, verify_row
@@ -88,27 +93,96 @@ def evaluate_candidate(
     return SearchResult(model=model, matched_rows=matched, score=len(matched))
 
 
-def _group_results(
-    type_maps: tuple[TypeMap, ...],
+def _group_verdicts(
+    pair_columns: tuple[tuple[list[TypeMap], list[int]], ...],
     triangle: CoefficientTriangle,
     rows: tuple[int, ...],
     group: tuple[Threshold, tuple[int, int] | None],
-) -> list[SearchResult]:
-    """Outcomes of one group's candidates, in type-map order: only rows whose
-    sum equals the group's histogram total are verified, once per type pair."""
+) -> list[tuple[int, frozenset[int], str]]:
+    """One group's verdicts, in type-map order: (score, matched rows, record
+    end ``"\\t<score>\\t<matched rows>\\n"``), one tuple shared by the type maps
+    whose verdicts are equal. Only rows whose sum equals the group's
+    valid-set size are verified, once per type pair; ``rows`` holds no row
+    twice. ``pair_columns`` holds, for even and then odd n, the first type
+    map with each distinct pair and each type map's index into those."""
     threshold, b_count = group
-    models = [ModelSpec(threshold, m, b_count) for m in type_maps]
-    if not models:
+    if not pair_columns[0][0]:
         return []
+    first = ModelSpec(threshold, pair_columns[0][0][0], b_count)  # checks the window once
     # The row first: an absent row is refused before any census work.
-    live = [n for n in rows if row_sum(triangle, n) == type_histogram(models[0], n).total]
-    checked = {(n, model.type_map.pair(n)): model for model in models for n in live}
-    verdicts = {key: verify_row(model, triangle, key[0]).matches for key, model in checked.items()}
-    results = []
-    for model in models:
-        matched = frozenset(n for n in live if verdicts[n, model.type_map.pair(n)])
-        results.append(SearchResult(model, matched, len(matched)))
-    return results
+    live = [n for n in rows if row_sum(triangle, n) == _valid_total(first, n)]
+    checked, classes, codes = [], [], []
+    for parity, (firsts, index) in enumerate(pair_columns):
+        ns = [n for n in live if n % 2 == parity]
+        # With no row to check, no model is built and every verdict is ().
+        models = [ModelSpec(threshold, m, b_count) for m in firsts] if ns else firsts
+        verdicts = [tuple(verify_row(m, triangle, n).matches for n in ns) for m in models]
+        checked += ns
+        # The distinct verdict tuples, numbered, and each type map's number.
+        numbers = {v: i for i, v in enumerate(dict.fromkeys(verdicts))}
+        classes.append(list(numbers))
+        codes.append(list(map([numbers[v] for v in verdicts].__getitem__, index)))
+    # A type map's key is its (even, odd) pair of numbers as one int, which
+    # hashes faster than the pair of verdict tuples it stands for.
+    width = len(classes[1])
+    keys = [even * width + odd for even, odd in zip(*codes)]
+    shared = {}
+    for key in dict.fromkeys(keys):
+        even, odd = divmod(key, width)
+        matched = sorted(compress(checked, classes[0][even] + classes[1][odd]))
+        text = ",".join(map(str, matched)) or "-"
+        shared[key] = (len(matched), frozenset(matched), f"\t{len(matched)}\t{text}\n")
+    return list(map(shared.__getitem__, keys))
+
+
+def rank_search(
+    family: SearchFamily,
+    triangle: CoefficientTriangle,
+    rows: Iterable[int],
+    *,
+    workers: int = 1,
+) -> tuple[list[str], Callable[[int], SearchResult]]:
+    """Evaluate every candidate and rank by score descending, then by
+    serialized model text ascending; ties keep evaluation order, the groups
+    as (threshold, B-count option) pairs in product order and the type maps
+    in family order within each. Returns each ranked candidate's record line,
+    ``result_record(r) + "\\n"``, and a function giving the ``SearchResult``
+    at a rank (from 0). ``workers`` > 1 maps the groups over that many
+    processes, importing the pool only then; the ranking is identical."""
+    type_maps = family.type_maps
+    groups = list(product(family.thresholds, family.b_count_options))
+    # For even and then odd n: the first type map with each distinct pair,
+    # and each type map's index into those.
+    columns = []
+    for pairs in ([m.even for m in type_maps], [m.odd for m in type_maps]):
+        firsts = dict(zip(reversed(pairs), reversed(type_maps)))
+        index = {pair: i for i, pair in enumerate(firsts)}
+        columns.append((list(firsts.values()), [index[pair] for pair in pairs]))
+    # A repeated row counts once.
+    evaluate = partial(_group_verdicts, tuple(columns), triangle, tuple(dict.fromkeys(rows)))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(evaluate, groups))
+    else:
+        parts = list(map(evaluate, groups))
+    verdicts = list(chain.from_iterable(parts))
+    texts: list[str] = []
+    for threshold, b_count in groups:
+        head, tail = _text_around_type(threshold, b_count)
+        texts += [f"{head}{m.name}{tail}" for m in type_maps]
+    # Two stable sorts: by text, then by score.
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    order.sort(key=[v[0] for v in verdicts].__getitem__, reverse=True)
+
+    def result(rank: int) -> SearchResult:
+        group, t = divmod(order[rank], len(type_maps))
+        threshold, b_count = groups[group]
+        score, matched, _ = verdicts[order[rank]]
+        return SearchResult(ModelSpec(threshold, type_maps[t], b_count), matched, score)
+
+    return [texts[i] + verdicts[i][2] for i in order], result
 
 
 def run_search(
@@ -122,16 +196,8 @@ def run_search(
     serialized model text ascending. ``workers`` > 1 maps the (threshold,
     B-count option) groups over that many processes, importing the pool only
     then; the output is identical."""
-    groups = product(family.thresholds, family.b_count_options)
-    evaluate = partial(_group_results, family.type_maps, triangle, tuple(rows))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(evaluate, groups))
-    else:
-        parts = list(map(evaluate, groups))
-    return sorted(chain.from_iterable(parts), key=lambda r: (-r.score, format_model(r.model)))
+    lines, result = rank_search(family, triangle, rows, workers=workers)
+    return [result(rank) for rank in range(len(lines))]
 
 
 def witness(model: ModelSpec, triangle: CoefficientTriangle, n: int) -> str:

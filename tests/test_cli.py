@@ -19,6 +19,7 @@ from gaptri import (
     default_family,
     embedded_half_triangle,
     enumerate_all,
+    format_model,
     format_triangle,
     gap_statistics,
     is_valid,
@@ -26,6 +27,7 @@ from gaptri import (
     type_for_gap,
     type_histogram,
     valid_set,
+    verify_row,
 )
 from gaptri import cli
 from gaptri.cli import _k_header, _threshold_text, main
@@ -58,6 +60,23 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, function):
+    """Record the arguments of every call to ``function`` through any name a
+    gaptri module binds it to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gaptri" or name.startswith("gaptri."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def oracle_render(headers, rows, fmt):
@@ -514,6 +533,20 @@ class TestSearch:
         assert (code, out) == (2, "")
         assert err == "gaptri: error: --top must be >= 0\n"
 
+    def test_out_formats_only_the_printed_models(self, capsys, tmp_path, monkeypatch):
+        # The records come straight from the ranking: a model is formatted
+        # only for a printed row, and each live row is verified once per
+        # (group, type pair), plus once per printed row for its witness.
+        formatted = count_calls(monkeypatch, format_model)
+        verified = count_calls(monkeypatch, verify_row)
+        out_path = tmp_path / "s9.tsv"
+        code, out, err = run_cli(capsys, "search", "--rows", "1..9", "--out", str(out_path))
+        assert (code, err) == (0, "")
+        assert out_path.read_bytes() == SEARCH_GOLDEN.read_bytes()
+        assert len(out.splitlines()) == 21
+        assert len(formatted) <= 20
+        assert len(verified) == 512 + 20
+
     def test_family_is_unrecognized(self, capsys):
         code, out, err = run_cli(capsys, "search", "--rows", "1..3", "--family", "default")
         assert code == 2
@@ -772,6 +805,14 @@ class TestByteContract:
                 + ["--out", "p200.tsv"],
                 "4e32ea3efb4090a6c59c03750c0de616455cd9c7f4d7cf379abf638c316c453d",
             ),
+            (
+                ["search", "--rows", "1..9"],
+                "40bd97117373abee8f93b39092a177472e9d31e49186221fe8495b522e97a29b",
+            ),
+            (
+                ["search", "--rows", "1..4", "--top", "100", "--format", "tsv"],
+                "20bd7c450dfef2783dcf7aa914dbd64d7e3c100321d8f5e3de05d75c6086dd38",
+            ),
         ],
         ids=[
             "stats-30",
@@ -781,6 +822,8 @@ class TestByteContract:
             "affine-valid-16",
             "planted-search-60",
             "planted-search-200",
+            "search-table-9",
+            "search-tsv-top-100",
         ],
     )
     def test_digest(self, capsys, tmp_path, monkeypatch, argv, digest):

@@ -19,6 +19,7 @@ from gaptri import (
     Threshold,
     Unbounded,
     canonical_model,
+    default_family,
     enumerate_all,
     format_model,
     gap_statistics,
@@ -30,7 +31,7 @@ from gaptri import (
     type_of,
     valid_set,
 )
-from gaptri.model import _gap_weights
+from gaptri.model import _gap_weights, _valid_total
 
 
 def string_histogram(model, n):
@@ -312,6 +313,16 @@ class TestClosedFormCensus:
     @given(model=MODELS, n=st.integers(1, 12))
     def test_total_equals_generated_codes(self, model, n):
         assert type_histogram(model, n).total == len(valid_set(model, n))
+
+    def test_valid_total_equals_histogram_total(self):
+        # n/2-3 has a limit below -1 at n <= 3, where no census entry is read.
+        thresholds = default_family().thresholds + (Threshold(1, -3, "n/2-3"),)
+        for n in range(1, 41):
+            for threshold in thresholds:
+                for window in census_windows(n):
+                    model = ModelSpec(threshold, ParityFlip(), window)
+                    expected = type_histogram(model, n).total
+                    assert _valid_total(model, n) == expected, (n, threshold, window)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_length_below_one_is_rejected(self, n):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from test_long_rows import planted_triangle
 
 import gaptri.search
+from gaptri.search import rank_search
 from gaptri import (
     Affine,
     Constant,
@@ -15,6 +16,7 @@ from gaptri import (
     NotAFailureError,
     ParityFlip,
     SearchFamily,
+    TypeMap,
     Unbounded,
     canonical_model,
     default_family,
@@ -214,6 +216,44 @@ class TestBehaviourClasses:
             key=lambda r: (-r.score, format_model(r.model)),
         )
         assert run_search(family, triangle, rows) == expected
+
+
+class TestRanking:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        family=FAMILIES,
+        triangle=TRIANGLES,
+        rows=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    )
+    def test_lines_are_the_result_records(self, family, triangle, rows):
+        lines, result = rank_search(family, triangle, rows)
+        results = run_search(family, triangle, rows)
+        assert lines == [result_record(r) + "\n" for r in results]
+        for rank, line in enumerate(lines):
+            assert line.partition("\t")[0] == format_model(result(rank).model)
+
+    def test_equal_texts_keep_candidate_order(self):
+        # A repeated threshold and type map, and a raw type map spelled like
+        # Affine(1, 1) that matches the same rows here: equal records from
+        # different models, which must stay in candidate order.
+        raw = TypeMap((1, 0), (1, 1), "affine(1,1)")
+        family = SearchFamily(
+            thresholds=(Constant(1), HalfFloor(), Constant(1)),
+            type_maps=(ParityFlip(), raw, Affine(1, 1), ParityFlip()),
+            b_count_options=(None, (2, 2)),
+        )
+        triangle, rows = embedded_half_triangle(), range(1, 10)
+        expected = sorted(
+            (evaluate_candidate(m, triangle, rows) for m in family.candidates()),
+            key=lambda r: (-r.score, format_model(r.model)),
+        )
+        text = "gap<=1; type=affine(1,1); bcount=*"
+        same = [r for r in expected if format_model(r.model) == text]
+        assert [r.model.type_map for r in same] == [raw, Affine(1, 1)] * 2
+        assert len({r.score for r in same}) == 1
+        lines, _ = rank_search(family, triangle, rows)
+        assert run_search(family, triangle, rows) == expected
+        assert lines == [result_record(r) + "\n" for r in expected]
 
 
 class TestWitness:
