@@ -18,13 +18,12 @@ from .model import (
     Unbounded,
     _bit_count_window,
     _gap_weights,
-    format_model,
+    _valid_total,
     parse_model,
     type_for_gap,
-    type_histogram,
 )
 from .search import default_family, rank_search, witness
-from .sequences import check_enumerable
+from .sequences import _SYMBOLS, check_enumerable
 from .triangle import (
     CoefficientTriangle,
     embedded_half_triangle,
@@ -205,7 +204,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     widths = _widths(headers, (["R" * n] + cells(*sample) for sample in samples))
     # No line is longer than its padded cells, separators and newline.
     line_bytes = sum(widths) + 2 * (len(widths) - 1) + 1
-    rows = type_histogram(model, n).total if args.valid_only else 1 << n
+    rows = _valid_total(model, n) if args.valid_only else 1 << n
     if (rows + 1) * line_bytes > _LISTING_BYTES:
         raise ValueError(
             f"{rows} rows could exceed {_LISTING_BYTES} bytes; list fewer with --valid-only"
@@ -263,9 +262,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     return blocks(), 0
 
 
-_SYMBOLS = str.maketrans("01", "RB")
-
-
 def _cmd_stats(args: argparse.Namespace) -> tuple[list[str], int]:
     check_enumerable(args.n)
     body = [[str(gap), str(count)] for gap, count in enumerate(_gap_weights(args.n, None))]
@@ -312,16 +308,14 @@ def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
     lines, ranked = rank_search(default_family(), triangle, rows)
     _write_out(args.out, lines)
     body = []
-    for rank in range(min(args.top, len(lines))):
-        result = ranked(rank)
-        matched = ",".join(str(n) for n in sorted(result.matched_rows)) or "-"
+    for rank, line in enumerate(lines[: args.top]):
+        model, score, matched = line[:-1].split("\t")
+        result = ranked(rank)  # for the witness
         failure = "-"
         unmatched = [n for n in rows if n not in result.matched_rows]
         if unmatched:
             failure = f"row {unmatched[0]}: " + witness(result.model, triangle, unmatched[0])
-        body.append(
-            [str(rank + 1), format_model(result.model), str(result.score), matched, failure]
-        )
+        body.append([str(rank + 1), model, score, matched, failure])
     text = _render(["rank", "model", "score", "matched", "first_failure"], body, args.format)
     return [text], 0
 

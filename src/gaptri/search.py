@@ -6,21 +6,22 @@ known candidate set. ``rank_search`` takes the candidates one group at a
 time, the type maps under one threshold and B-count option. A group shares
 one valid set, so a row whose sum differs from its size matches no member
 and is skipped; a row that passes is verified once per type pair, and the
-type maps with equal verdicts share one score, matched-row set and record
-end. It ranks by score descending, then serialized model text ascending,
-whatever the execution order, and returns every candidate's record line,
-each text built once from its group's spelling and its type map's name;
-the CLI writes those lines as they are and builds a ``SearchResult`` only
-for the rows it prints. ``run_search`` builds one for every candidate from
-the same ranking. ``evaluate_candidate`` checks one candidate alone. The
-process pool is imported only by ``workers > 1``, so importing this module
-does not load ``concurrent.futures`` or ``multiprocessing``.
+type maps that match the same rows share one score, matched-row set and
+record end. It ranks by score descending, then serialized model text
+ascending, whatever the execution order, and returns every candidate's
+record line, each text built once from its group's spelling and its type
+map's name; the CLI writes those lines as they are, takes its table cells
+from them, and builds a ``SearchResult`` only for a printed row's witness.
+``run_search`` builds one for every candidate from the same ranking.
+``evaluate_candidate`` checks one candidate alone. The process pool is
+imported only by ``workers > 1``, so importing this module does not load
+``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, compress, product
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotAFailureError
@@ -101,7 +102,7 @@ def _group_verdicts(
 ) -> list[tuple[int, frozenset[int], str]]:
     """One group's verdicts, in type-map order: (score, matched rows, record
     end ``"\\t<score>\\t<matched rows>\\n"``), one tuple shared by the type maps
-    whose verdicts are equal. Only rows whose sum equals the group's
+    that match the same rows. Only rows whose sum equals the group's
     valid-set size are verified, once per type pair; ``rows`` holds no row
     twice. ``pair_columns`` holds, for even and then odd n, the first type
     map with each distinct pair and each type map's index into those."""
@@ -111,25 +112,19 @@ def _group_verdicts(
     first = ModelSpec(threshold, pair_columns[0][0][0], b_count)  # checks the window once
     # The row first: an absent row is refused before any census work.
     live = [n for n in rows if row_sum(triangle, n) == _valid_total(first, n)]
-    checked, classes, codes = [], [], []
+    hits = []
     for parity, (firsts, index) in enumerate(pair_columns):
         ns = [n for n in live if n % 2 == parity]
-        # With no row to check, no model is built and every verdict is ().
+        # With no row to check, no model is built and every pair matches ().
         models = [ModelSpec(threshold, m, b_count) for m in firsts] if ns else firsts
-        verdicts = [tuple(verify_row(m, triangle, n).matches for n in ns) for m in models]
-        checked += ns
-        # The distinct verdict tuples, numbered, and each type map's number.
-        numbers = {v: i for i, v in enumerate(dict.fromkeys(verdicts))}
-        classes.append(list(numbers))
-        codes.append(list(map([numbers[v] for v in verdicts].__getitem__, index)))
-    # A type map's key is its (even, odd) pair of numbers as one int, which
-    # hashes faster than the pair of verdict tuples it stands for.
-    width = len(classes[1])
-    keys = [even * width + odd for even, odd in zip(*codes)]
+        # For each distinct pair, the rows of this parity it matches.
+        found = [tuple(n for n in ns if verify_row(m, triangle, n).matches) for m in models]
+        hits.append(map(found.__getitem__, index))
+    # A type map's key is its (even rows, odd rows) pair.
+    keys = list(zip(*hits))
     shared = {}
-    for key in dict.fromkeys(keys):
-        even, odd = divmod(key, width)
-        matched = sorted(compress(checked, classes[0][even] + classes[1][odd]))
+    for key in set(keys):
+        matched = sorted(key[0] + key[1])
         text = ",".join(map(str, matched)) or "-"
         shared[key] = (len(matched), frozenset(matched), f"\t{len(matched)}\t{text}\n")
     return list(map(shared.__getitem__, keys))
@@ -146,9 +141,11 @@ def rank_search(
     serialized model text ascending; ties keep evaluation order, the groups
     as (threshold, B-count option) pairs in product order and the type maps
     in family order within each. Returns each ranked candidate's record line,
-    ``result_record(r) + "\\n"``, and a function giving the ``SearchResult``
-    at a rank (from 0). ``workers`` > 1 maps the groups over that many
-    processes, importing the pool only then; the ranking is identical."""
+    ``result_record(r) + "\\n"``: its model text and the record end it shares
+    with the type maps of its group that match the same rows. Also returns
+    a function giving the ``SearchResult`` at a rank (from 0). ``workers`` > 1
+    maps the groups over that many processes, importing the pool only then;
+    the ranking is identical."""
     type_maps = family.type_maps
     groups = list(product(family.thresholds, family.b_count_options))
     # For even and then odd n: the first type map with each distinct pair,
@@ -177,10 +174,11 @@ def rank_search(
     order.sort(key=[v[0] for v in verdicts].__getitem__, reverse=True)
 
     def result(rank: int) -> SearchResult:
-        group, t = divmod(order[rank], len(type_maps))
-        threshold, b_count = groups[group]
-        score, matched, _ = verdicts[order[rank]]
-        return SearchResult(ModelSpec(threshold, type_maps[t], b_count), matched, score)
+        i = order[rank]
+        threshold, b_count = groups[i // len(type_maps)]
+        score, matched, _ = verdicts[i]
+        model = ModelSpec(threshold, type_maps[i % len(type_maps)], b_count)
+        return SearchResult(model, matched, score)
 
     return [texts[i] + verdicts[i][2] for i in order], result
 

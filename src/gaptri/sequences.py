@@ -19,6 +19,9 @@ from .errors import EmptySequenceError, InvalidLengthError, InvalidSymbolError
 #: Hard ceiling for exhaustive enumeration: at most 2**30 cheap iterations.
 MAX_N = 30
 
+#: Spells a code's binary digits as symbols, via ``str.translate``.
+_SYMBOLS = str.maketrans("01", "RB")
+
 
 class _Checked:
     """Base of the records whose ``__new__`` checks its fields.
@@ -52,16 +55,14 @@ class BinarySequence(_Checked, _BinarySequence):
 
     @property
     def symbols(self) -> tuple[str, ...]:
-        return tuple(
-            "B" if (self.code >> (self.n - i)) & 1 else "R" for i in range(1, self.n + 1)
-        )
+        return tuple(str(self))
 
     @property
     def b_count(self) -> int:
         return self.code.bit_count()
 
     def __str__(self) -> str:
-        return "".join(self.symbols)
+        return format(self.code, f"0{self.n}b").translate(_SYMBOLS)
 
     def __len__(self) -> int:
         return self.n

@@ -534,8 +534,8 @@ class TestSearch:
         assert err == "gaptri: error: --top must be >= 0\n"
 
     def test_out_formats_only_the_printed_models(self, capsys, tmp_path, monkeypatch):
-        # The records come straight from the ranking: a model is formatted
-        # only for a printed row, and each live row is verified once per
+        # The records and the printed cells come straight from the ranking:
+        # no model is formatted, and each live row is verified once per
         # (group, type pair), plus once per printed row for its witness.
         formatted = count_calls(monkeypatch, format_model)
         verified = count_calls(monkeypatch, verify_row)
@@ -544,8 +544,15 @@ class TestSearch:
         assert (code, err) == (0, "")
         assert out_path.read_bytes() == SEARCH_GOLDEN.read_bytes()
         assert len(out.splitlines()) == 21
-        assert len(formatted) <= 20
+        assert len(formatted) == 0
         assert len(verified) == 512 + 20
+
+    def test_top_past_the_family_prints_every_candidate(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--rows", "1..2", "--top", "7000")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 1 + 6216
+        assert lines[-1].split()[0] == "6216"
 
     def test_family_is_unrecognized(self, capsys):
         code, out, err = run_cli(capsys, "search", "--rows", "1..3", "--family", "default")

@@ -1,0 +1,145 @@
+"""Mutation check: every mutant listed below must fail one of its named tests.
+
+Each row of ``MUTANTS`` names a file under ``src/``, a text that occurs in it
+exactly once, the text that replaces it, and the test ids that must catch
+the change. For each row the script copies ``src/`` into a temporary
+directory, makes the replacement there, and runs pytest on the named tests
+with that copy first on ``PYTHONPATH``. A mutant is killed when pytest
+reports a failing test (exit status 1). First, the named tests must all
+pass on an unmutated copy, so that a kill means the mutant caused it.
+
+Usage, from any directory, with pytest and hypothesis installed:
+
+    python3 tools/mutants.py
+
+Exits 0 when every mutant is killed; 1 when a mutant survives, when its old
+text does not occur exactly once, when pytest ends in an error other than a
+failing test, or when the unmutated copy fails a named test.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+GOLDEN = "tests/test_cli.py::TestOutFile::test_search_out_matches_golden"
+EQUALS_ONE_AT_A_TIME = (
+    "tests/test_search.py::TestBehaviourClasses::test_equals_one_candidate_at_a_time"
+)
+
+MUTANTS = (
+    Mutant(
+        "a repeated row is not dropped",
+        "gaptri/search.py",
+        "tuple(dict.fromkeys(rows))",
+        "tuple(rows)",
+        (EQUALS_ONE_AT_A_TIME,),
+    ),
+    Mutant(
+        "the record end lists the even rows only",
+        "gaptri/search.py",
+        "sorted(key[0] + key[1])",
+        "sorted(key[0])",
+        (GOLDEN, "tests/test_acceptance.py::test_08_search_certificate"),
+    ),
+    Mutant(
+        "the ranking ignores the score",
+        "gaptri/search.py",
+        "    order.sort(key=[v[0] for v in verdicts].__getitem__, reverse=True)\n",
+        "",
+        (GOLDEN, "tests/test_search.py::TestRunSearch::test_sorted_by_score_then_text"),
+    ),
+    Mutant(
+        "a gap limit below -1 reads a weight",
+        "gaptri/model.py",
+        "max(limit + 1, 0)",
+        "limit + 1",
+        (
+            "tests/test_model.py::TestClosedFormCensus::test_valid_total_equals_histogram_total",
+        ),
+    ),
+    Mutant(
+        "type maps with equal even rows share one record end",
+        "gaptri/search.py",
+        "    return list(map(shared.__getitem__, keys))",
+        "    return [shared[next(k for k in shared if k[0] == key[0])] for key in keys]",
+        (GOLDEN, "tests/test_cli.py::TestByteContract::test_digest[search-table-9]"),
+    ),
+    Mutant(
+        "the matched rows are not sorted",
+        "gaptri/search.py",
+        "sorted(key[0] + key[1])",
+        "list(key[0] + key[1])",
+        (GOLDEN,),
+    ),
+    Mutant(
+        "search prints one ranked row too many",
+        "gaptri/cli.py",
+        "lines[: args.top]",
+        "lines[: args.top + 1]",
+        (
+            "tests/test_cli.py::TestByteContract::test_digest[search-table-9]",
+            "tests/test_cli.py::TestSearch::test_out_formats_only_the_printed_models",
+        ),
+    ),
+)
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit status for ``tests`` run against the package in ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    return done.returncode
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="gaptri-mutants-") as scratch:
+        src = Path(scratch) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        named = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        if run_tests(src, named) != 0:
+            print("unmutated copy fails a named test; no mutant was run")
+            return 1
+        for mutant in MUTANTS:
+            target = src / mutant.path
+            original = target.read_text(encoding="utf-8")
+            found = original.count(mutant.old)
+            if found != 1:
+                print(f"NOT APPLIED  {mutant.name}: {mutant.path} has its old text {found} times")
+                failures += 1
+                continue
+            target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            try:
+                status = run_tests(src, mutant.tests)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            if status == 1:
+                print(f"killed       {mutant.name}")
+            else:
+                verdict = "SURVIVED" if status == 0 else f"ERROR {status}"
+                print(f"{verdict:<12} {mutant.name}")
+                failures += 1
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
