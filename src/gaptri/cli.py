@@ -18,7 +18,7 @@ from .model import (
     Unbounded,
     _bit_count_window,
     _gap_weights,
-    _valid_total,
+    _valid_weights,
     parse_model,
     type_for_gap,
 )
@@ -32,7 +32,7 @@ from .triangle import (
     ingest_bfile,
     parse_triangle,
 )
-from .verify import obstruction_record, obstruction_report, verdict_record, verify_row
+from .verify import _entry_text, obstruction_record, obstruction_report, verdict_record, verify_row
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,6 +173,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
         headers += [f"gap<={_threshold_text(model, n)}?", _k_header(model, n), "valid?"]
         limit = model.gap_threshold.limit(n)
         lo, hi = model.b_count or (1, n)
+    # The listed rows have gap <= keep_gap and keep_lo..keep_hi B's; the full
+    # listing's window admits every row.
+    keep_gap, keep_lo, keep_hi = (limit, lo, hi) if args.valid_only else (n - 1, 0, n)
 
     def cells(high: int, low: int, count: int) -> list[str]:
         # The cells after the sequence depend only on the bit lengths of the
@@ -199,18 +202,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     samples = [] if args.valid_only else [(0, 0, 0)]
     for gap in range(n):
         for b in range(2 if gap else 1, gap + 2):
-            if not args.valid_only or (gap <= limit and lo <= b <= hi):
+            if gap <= keep_gap and keep_lo <= b <= keep_hi:
                 samples.append((gap + 1, 1, b))
     widths = _widths(headers, (["R" * n] + cells(*sample) for sample in samples))
     # No line is longer than its padded cells, separators and newline.
     line_bytes = sum(widths) + 2 * (len(widths) - 1) + 1
-    rows = _valid_total(model, n) if args.valid_only else 1 << n
+    rows = sum(_valid_weights(model, n)) if args.valid_only else 1 << n
     if (rows + 1) * line_bytes > _LISTING_BYTES:
         raise ValueError(
             f"{rows} rows could exceed {_LISTING_BYTES} bytes; list fewer with --valid-only"
         )
-    # --valid-only keeps the rows with lo..hi B's; the full listing keeps all.
-    keep_lo, keep_hi = (lo, hi) if args.valid_only else (0, n)
     lead = "\t" if fmt == "tsv" else " " * (widths[0] - n) + "  "
     # Most low bits a block may span: 2**most lines fit in one write.
     most = max(_CHUNK_BYTES // line_bytes, 1).bit_length() - 1
@@ -230,7 +231,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
             yield "R" * n + tail(0, 0, 0)
         for h in range(n):
             top = 1 << h
-            w, shift = (min(h, limit), max(h - limit, 0)) if args.valid_only else (h, 0)
+            w, shift = min(h, keep_gap), max(h - keep_gap, 0)
             bits = min(most, w)
             pad = "R" * shift
             tables: dict[int, list[str]] = {}
@@ -279,7 +280,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
         predicted = ",".join(f"{k}:{c}" for k, c in v.predicted.counts.items()) or "-"
         target = ",".join(str(e) for e in v.target)
         detail = "; ".join(
-            f"k={k}: {_cell(p)} vs {_cell(t)}" for k, p, t in v.mismatch_detail
+            f"k={k}: {_entry_text(p)} vs {_entry_text(t)}" for k, p, t in v.mismatch_detail
         ) or "-"
         body.append([str(v.n), "yes" if v.matches else "no", predicted, target, detail])
     text = _render(["row", "match", "predicted", "target", "detail"], body, args.format)
@@ -327,10 +328,6 @@ def _cmd_ingest(args: argparse.Namespace) -> tuple[list[str], int]:
         _write_out(args.out, [text])
         return [], 0
     return [text], 0
-
-
-def _cell(value: int | None) -> str:
-    return "absent" if value is None else str(value)
 
 
 def _write_out(path: str | None, lines: Iterable[str]) -> None:

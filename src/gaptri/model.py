@@ -19,7 +19,8 @@ e.g. ``gap<=1; type=parity-paper; bcount=*`` for the canonical model.
 
 Type histograms come from the closed-form gap/B-count census (n sequences
 with gap 0, and (n - g) * C(g - 1, b - 2) with gap g >= 1 and b B's), read
-only up to the gap limit and with no memo, so any n >= 1 is accepted.
+only up to the gap limit, through one reader, ``_valid_weights``, and with
+no memo, so any n >= 1 is accepted.
 ``valid_set`` visits only the valid codes, in time proportional to its
 output; like ``enumerate_all`` it accepts n <= MAX_N = 30, to bound its list.
 """
@@ -225,30 +226,29 @@ def _gap_weights(n: int, b_count: tuple[int, int] | None) -> Iterator[int]:
             s = 2 * s - comb(g - 1, b) + (comb(g - 1, a - 1) if a else 0)
 
 
+def _valid_weights(model: ModelSpec, n: int) -> Iterator[int]:
+    # The census entries for gaps 0..limit: entry g counts the valid length-n
+    # sequences with gap g, so they sum to the valid set's size. A limit
+    # below -1 reads no entry; islice refuses a negative stop.
+    limit = model.gap_threshold.limit(n)
+    return islice(_gap_weights(n, model.b_count), max(limit + 1, 0))
+
+
 def type_histogram(model: ModelSpec, n: int) -> TypeHistogram:
     """Counts of valid length-n sequences per assigned type, zero counts omitted.
 
-    Summed from the closed-form gap census without visiting any sequence,
-    so any n >= 1 is accepted.
+    Summed from the census entries ``_valid_weights`` reads, without
+    visiting any sequence, so any n >= 1 is accepted.
     """
     if n < 1:
         raise ValueError("sequence length must be >= 1")
-    limit = model.gap_threshold.limit(n)
     a, b = model.type_map.pair(n)
     counts: dict[int, int] = {}
-    for gap, weight in zip(range(limit + 1), _gap_weights(n, model.b_count)):
+    for gap, weight in enumerate(_valid_weights(model, n)):
         if weight:
             k = a * gap + b
             counts[k] = counts.get(k, 0) + weight
     return TypeHistogram(dict(sorted(counts.items())), n)
-
-
-def _valid_total(model: ModelSpec, n: int) -> int:
-    # type_histogram(model, n).total without the histogram: the census
-    # summed up to the gap limit. A limit below -1 reads no entry, as the
-    # histogram's empty range does; islice refuses a negative stop.
-    limit = model.gap_threshold.limit(n)
-    return sum(islice(_gap_weights(n, model.b_count), max(limit + 1, 0)))
 
 
 def max_type_count(model: ModelSpec, n: int) -> int:

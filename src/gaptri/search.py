@@ -36,11 +36,11 @@ from .model import (
     TypeMap,
     Unbounded,
     _text_around_type,
-    _valid_total,
+    _valid_weights,
     format_model,
 )
 from .triangle import CoefficientTriangle, row_sum
-from .verify import obstruction_report, verify_row
+from .verify import _entry_text, obstruction_report, verify_row
 
 
 class SearchFamily(NamedTuple):
@@ -111,7 +111,7 @@ def _group_verdicts(
         return []
     first = ModelSpec(threshold, pair_columns[0][0][0], b_count)  # checks the window once
     # The row first: an absent row is refused before any census work.
-    live = [n for n in rows if row_sum(triangle, n) == _valid_total(first, n)]
+    live = [n for n in rows if row_sum(triangle, n) == sum(_valid_weights(first, n))]
     hits = []
     for parity, (firsts, index) in enumerate(pair_columns):
         ns = [n for n in live if n % 2 == parity]
@@ -215,8 +215,7 @@ def witness(model: ModelSpec, triangle: CoefficientTriangle, n: int) -> str:
             f"< required {report.required_types}"
         )
     k, predicted, target = verdict.mismatch_detail[0]
-    left = "absent" if predicted is None else str(predicted)
-    right = "absent" if target is None else str(target)
+    left, right = _entry_text(predicted), _entry_text(target)
     prefix = "ill-typed; " if k < 1 else ""
     return f"{prefix}entry mismatch at k={k}: predicted {left}, target {right}"
 

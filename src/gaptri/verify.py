@@ -48,20 +48,17 @@ def verify_row(model: ModelSpec, triangle: CoefficientTriangle, n: int) -> RowVe
     """Compare the model's type histogram at length n with triangle row n."""
     row = triangle.row(n)
     predicted = type_histogram(model, n)
-    target = {k: row[k - 1] for k in range(1, len(row) + 1)}
-    detail = []
-    for k in sorted(set(predicted.counts) | set(target)):
-        left = predicted.counts.get(k)
-        right = target.get(k)
-        if left != right:
-            detail.append((k, left, right))
-    return RowVerdict(
-        n=n,
-        predicted=predicted,
-        target=row,
-        matches=not detail,
-        mismatch_detail=tuple(detail),
+    counts, target = predicted.counts, dict(enumerate(row, start=1))
+    detail = tuple(
+        (k, counts.get(k), target.get(k))
+        for k in sorted(counts.keys() | target.keys())
+        if counts.get(k) != target.get(k)
     )
+    return RowVerdict(n, predicted, row, not detail, detail)
+
+
+def _entry_text(entry: int | None) -> str:
+    return "absent" if entry is None else str(entry)
 
 
 def boundary_check(

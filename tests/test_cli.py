@@ -595,6 +595,19 @@ class TestIngest:
         assert (code, out) == (2, "")
         assert err == "gaptri: error: bad explicit row rule 'explicit:'\n"
 
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ("explicit:1,1", "explicit row rule covers only 2 rows"),
+            ("n+1", "unknown row rule 'n+1'"),
+            ("explicit:0", "row-length rule gave 0 for row 1"),
+        ],
+    )
+    def test_bad_row_rule_is_refused(self, capsys, rule, message):
+        code, out, err = run_cli(capsys, "ingest", "--bfile", BFILE_FIXTURE, "--row-rule", rule)
+        assert (code, out) == (2, "")
+        assert err == f"gaptri: error: {message}\n"
+
     def test_bad_bfile_is_operational_error(self, capsys, tmp_path):
         bfile = tmp_path / "b.txt"
         bfile.write_text("1 1\n2 oops\n", encoding="utf-8")
@@ -706,6 +719,21 @@ class TestOutFile:
         assert code == 2
         assert out == ""
         assert "No space left on device" in err
+        assert out_path.read_bytes() == b"old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_interrupted_write_keeps_old_target(self, tmp_path):
+        out_path = tmp_path / "report.txt"
+        out_path.write_bytes(b"old report\n")
+        interrupt = KeyboardInterrupt()
+
+        def lines():
+            yield "row=1\n"
+            raise interrupt
+
+        with pytest.raises(KeyboardInterrupt) as caught:
+            cli._write_out(str(out_path), lines())
+        assert caught.value is interrupt
         assert out_path.read_bytes() == b"old report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
@@ -920,6 +948,14 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err == "gaptri: error: triangle has no row 1000000\n"
+
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    def test_triangle_without_rows_is_refused(self, capsys, tmp_path, command):
+        triangle = tmp_path / "t.txt"
+        triangle.write_text("# no rows\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--triangle", str(triangle))
+        assert (code, out) == (2, "")
+        assert err == "gaptri: error: triangle has no rows\n"
 
     def test_bad_row_range(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--rows", "x..y")

@@ -31,7 +31,7 @@ from gaptri import (
     type_of,
     valid_set,
 )
-from gaptri.model import _gap_weights, _valid_total
+from gaptri.model import _gap_weights, _valid_weights
 
 
 def string_histogram(model, n):
@@ -322,7 +322,7 @@ class TestClosedFormCensus:
                 for window in census_windows(n):
                     model = ModelSpec(threshold, ParityFlip(), window)
                     expected = type_histogram(model, n).total
-                    assert _valid_total(model, n) == expected, (n, threshold, window)
+                    assert sum(_valid_weights(model, n)) == expected, (n, threshold, window)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_length_below_one_is_rejected(self, n):

@@ -42,6 +42,11 @@ GOLDEN = "tests/test_cli.py::TestOutFile::test_search_out_matches_golden"
 EQUALS_ONE_AT_A_TIME = (
     "tests/test_search.py::TestBehaviourClasses::test_equals_one_candidate_at_a_time"
 )
+ACCEPTANCE_02 = "tests/test_acceptance.py::test_02_failure_reproduction"
+CENSUS = "tests/test_model.py::TestClosedFormCensus"
+HISTOGRAM = "tests/test_model.py::TestTypeHistogram"
+ENUMERATE = "tests/test_cli.py::TestEnumerate"
+RECORD_CHECKS = "tests/test_records.py::TestRecordChecks"
 
 MUTANTS = (
     Mutant(
@@ -71,8 +76,105 @@ MUTANTS = (
         "max(limit + 1, 0)",
         "limit + 1",
         (
-            "tests/test_model.py::TestClosedFormCensus::test_valid_total_equals_histogram_total",
+            f"{CENSUS}::test_valid_total_equals_histogram_total",
+            f"{HISTOGRAM}::test_negative_limit_counts_only_valid_sequences",
         ),
+    ),
+    Mutant(
+        "the census cut reads one weight short",
+        "gaptri/model.py",
+        "max(limit + 1, 0)",
+        "max(limit, 0)",
+        (
+            f"{HISTOGRAM}::test_small_rows",
+            f"{HISTOGRAM}::test_negative_limit_counts_only_valid_sequences",
+            "tests/test_acceptance.py::test_01_theorem_reproduction",
+            "tests/test_acceptance.py::test_08_search_certificate",
+        ),
+    ),
+    Mutant(
+        "Pascal's rule drops the term entering at the window's low end",
+        "gaptri/model.py",
+        " + (comb(g - 1, a - 1) if a else 0)",
+        "",
+        (
+            f"{CENSUS}::test_weights_equal_scan",
+            f"{CENSUS}::test_weights_equal_binomial_sums_past_max_n",
+        ),
+    ),
+    Mutant(
+        "the census window starts one B-count high",
+        "gaptri/model.py",
+        "max(lo - 2, 0)",
+        "max(lo - 1, 0)",
+        (
+            f"{CENSUS}::test_weights_equal_scan",
+            f"{CENSUS}::test_weights_equal_binomial_sums_past_max_n",
+            f"{HISTOGRAM}::test_against_string_oracle",
+        ),
+    ),
+    Mutant(
+        "a one-B window counts the sequences with more B's",
+        "gaptri/model.py",
+        "a == 0 <= b",
+        "a == 0",
+        (
+            f"{CENSUS}::test_weights_equal_scan",
+            "tests/test_acceptance.py::test_08_search_certificate",
+        ),
+    ),
+    Mutant(
+        "a model spec skips its checks on _replace and _make",
+        "gaptri/model.py",
+        "class ModelSpec(_Checked, _ModelSpec):",
+        "class ModelSpec(_ModelSpec):",
+        (f"{RECORD_CHECKS}::test_replace_refuses", f"{RECORD_CHECKS}::test_make_refuses"),
+    ),
+    Mutant(
+        "a listing block spans one low bit too many",
+        "gaptri/cli.py",
+        "bits = min(most, w)",
+        "bits = min(most + 1, w)",
+        (f"{ENUMERATE}::test_rows_stream_in_bounded_writes",),
+    ),
+    Mutant(
+        "a listing block key ignores the B's of the high part",
+        "gaptri/cli.py",
+        "key = mh.bit_count() + 1 if show_bcount else 1",
+        "key = 1",
+        (
+            "tests/test_cli.py::TestValidCodes::test_top_window_is_output_sized",
+            f"{ENUMERATE}::test_narrow_valid_listing_writes_are_bounded",
+            f"{ENUMERATE}::test_split_blocks_equal_buffered_oracle",
+        ),
+    ),
+    Mutant(
+        "the full listing's window stops one gap short",
+        "gaptri/cli.py",
+        "(n - 1, 0, n)",
+        "(n - 2, 0, n)",
+        (
+            f"{ENUMERATE}::test_n2_golden_table",
+            "tests/test_cli.py::TestByteContract::test_digest[enumerate-17]",
+        ),
+    ),
+    Mutant(
+        "an absent entry is spelled another way",
+        "gaptri/verify.py",
+        '"absent" if entry is None',
+        '"missing" if entry is None',
+        (
+            ACCEPTANCE_02,
+            "tests/test_cli.py::TestVerify::test_row_four_fails_with_detail",
+            "tests/test_search.py::TestWitness::test_well_typed_row_has_no_prefix",
+        ),
+    ),
+    Mutant(
+        "a row compares only the predicted keys",
+        "gaptri/verify.py",
+        "counts.keys() | target.keys()",
+        "counts.keys()",
+        (ACCEPTANCE_02, "tests/test_verify.py::TestVerifyRow::test_row4_mismatch_detail"),
     ),
     Mutant(
         "type maps with equal even rows share one record end",
