@@ -207,7 +207,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     widths = _widths(headers, (["R" * n] + cells(*sample) for sample in samples))
     # No line is longer than its padded cells, separators and newline.
     line_bytes = sum(widths) + 2 * (len(widths) - 1) + 1
-    rows = sum(_valid_weights(model, n)) if args.valid_only else 1 << n
+    rows = sum(_valid_weights(model.gap_threshold, model.b_count, n)) if args.valid_only else 1 << n
     if (rows + 1) * line_bytes > _LISTING_BYTES:
         raise ValueError(
             f"{rows} rows could exceed {_LISTING_BYTES} bytes; list fewer with --valid-only"
@@ -324,7 +324,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
 def _cmd_ingest(args: argparse.Namespace) -> tuple[list[str], int]:
     triangle = _load_triangle(args)
     text = format_triangle(triangle)
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, [text])
         return [], 0
     return [text], 0
@@ -334,7 +334,7 @@ def _write_out(path: str | None, lines: Iterable[str]) -> None:
     # Write beside the target, then rename over it: the target holds either
     # its old bytes or the whole new report, never a partial one. The lines
     # are written one by one, never joined into one string.
-    if not path:
+    if path is None:
         return
     import tempfile  # loaded only by a command that writes a file
 
@@ -406,7 +406,7 @@ def _rows_range(text: str | None, triangle: CoefficientTriangle) -> tuple[int, i
         if triangle.height == 0:
             raise ValueError("triangle has no rows")
         return 1, triangle.height
-    match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
+    match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text, re.ASCII)
     if match is None:
         raise ValueError(f"cannot parse row range {text!r}; expected a..b")
     lo = int(match.group(1))

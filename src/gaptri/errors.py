@@ -6,7 +6,7 @@ class GaptriError(Exception):
 
     def __reduce__(self):
         # Rebuild from ``args`` without __init__, whose parameters differ, so
-        # an error from a worker process keeps its type, text and fields.
+        # a pickled error keeps its type, text and fields.
         import copyreg
 
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidSequenceError, ModelParseError
 from .sequences import BinarySequence, _Checked, check_enumerable, gap_statistics
@@ -97,6 +97,12 @@ def EvenOddAffine(even: tuple[int, int], odd: tuple[int, int]) -> TypeMap:
     return TypeMap((ea, eb), (oa, ob), f"even({ea},{eb})/odd({oa},{ob})")
 
 
+def _check_window(b_count: tuple[int, int] | None) -> None:
+    lo, hi = b_count or (1, 1)
+    if lo < 1 or lo > hi:
+        raise ValueError("b-count bounds need 1 <= min <= max")
+
+
 class _ModelSpec(NamedTuple):
     gap_threshold: Threshold
     type_map: TypeMap
@@ -109,10 +115,7 @@ class ModelSpec(_Checked, _ModelSpec):
     def __new__(
         cls, gap_threshold: Threshold, type_map: TypeMap, b_count: tuple[int, int] | None = None
     ) -> ModelSpec:
-        if b_count is not None:
-            lo, hi = b_count
-            if lo < 1 or lo > hi:
-                raise ValueError("b-count bounds need 1 <= min <= max")
+        _check_window(b_count)
         return super().__new__(cls, gap_threshold, type_map, b_count)
 
 
@@ -226,12 +229,24 @@ def _gap_weights(n: int, b_count: tuple[int, int] | None) -> Iterator[int]:
             s = 2 * s - comb(g - 1, b) + (comb(g - 1, a - 1) if a else 0)
 
 
-def _valid_weights(model: ModelSpec, n: int) -> Iterator[int]:
+def _valid_weights(threshold: Threshold, b_count: tuple[int, int] | None, n: int) -> Iterator[int]:
     # The census entries for gaps 0..limit: entry g counts the valid length-n
     # sequences with gap g, so they sum to the valid set's size. A limit
     # below -1 reads no entry; islice refuses a negative stop.
-    limit = model.gap_threshold.limit(n)
-    return islice(_gap_weights(n, model.b_count), max(limit + 1, 0))
+    limit = threshold.limit(n)
+    return islice(_gap_weights(n, b_count), max(limit + 1, 0))
+
+
+def _type_counts(weights: Iterable[int], pair: tuple[int, int]) -> dict[int, int]:
+    # Census entries (entry g for gap g) summed per type k = a*gap + b under
+    # pair (a, b), zero counts omitted.
+    a, b = pair
+    counts: dict[int, int] = {}
+    for gap, weight in enumerate(weights):
+        if weight:
+            k = a * gap + b
+            counts[k] = counts.get(k, 0) + weight
+    return counts
 
 
 def type_histogram(model: ModelSpec, n: int) -> TypeHistogram:
@@ -242,12 +257,8 @@ def type_histogram(model: ModelSpec, n: int) -> TypeHistogram:
     """
     if n < 1:
         raise ValueError("sequence length must be >= 1")
-    a, b = model.type_map.pair(n)
-    counts: dict[int, int] = {}
-    for gap, weight in enumerate(_valid_weights(model, n)):
-        if weight:
-            k = a * gap + b
-            counts[k] = counts.get(k, 0) + weight
+    weights = _valid_weights(model.gap_threshold, model.b_count, n)
+    counts = _type_counts(weights, model.type_map.pair(n))
     return TypeHistogram(dict(sorted(counts.items())), n)
 
 
@@ -272,11 +283,12 @@ def _text_around_type(threshold: Threshold, b_count: tuple[int, int] | None) -> 
 _SPELLED_THRESHOLDS = {"n/2": HalfFloor(), "inf": Unbounded()}
 
 _MODEL_RE = re.compile(
-    r"^gap<=(?P<gap>\d+|n/2|inf); "
+    r"gap<=(?P<gap>\d+|n/2|inf); "
     r"type=(?P<type>parity-paper"
     r"|affine\((?P<aa>-?\d+),(?P<ab>-?\d+)\)"
     r"|even\((?P<ea>-?\d+),(?P<eb>-?\d+)\)/odd\((?P<oa>-?\d+),(?P<ob>-?\d+)\)); "
-    r"bcount=(?P<bcount>\*|(?P<blo>\d+)\.\.(?P<bhi>\d+))$"
+    r"bcount=(?P<bcount>\*|(?P<blo>\d+)\.\.(?P<bhi>\d+))",
+    re.ASCII,
 )
 
 
@@ -284,7 +296,7 @@ def parse_model(text: str) -> ModelSpec:
     """Parse the single-line model grammar; ``canonical`` is accepted as an alias."""
     if text == "canonical":
         return canonical_model()
-    m = _MODEL_RE.match(text)
+    m = _MODEL_RE.fullmatch(text)
     if m is None:
         raise ModelParseError(f"cannot parse model text {text!r}")
     gap = m.group("gap")

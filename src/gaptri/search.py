@@ -4,24 +4,22 @@ The family is a fixed Cartesian product rather than an open-ended DSL so that
 a negative outcome is a certificate: "no member matches" quantifies over a
 known candidate set. ``rank_search`` takes the candidates one group at a
 time, the type maps under one threshold and B-count option. A group shares
-one valid set, so a row whose sum differs from its size matches no member
-and is skipped; a row that passes is verified once per type pair, and the
-type maps that match the same rows share one score, matched-row set and
-record end. It ranks by score descending, then serialized model text
-ascending, whatever the execution order, and returns every candidate's
-record line, each text built once from its group's spelling and its type
-map's name; the CLI writes those lines as they are, takes its table cells
-from them, and builds a ``SearchResult`` only for a printed row's witness.
-``run_search`` builds one for every candidate from the same ranking.
-``evaluate_candidate`` checks one candidate alone. The process pool is
-imported only by ``workers > 1``, so importing this module does not load
-``concurrent.futures`` or ``multiprocessing``.
+one census, read once per row; a row whose sum differs from the census total
+matches no member and is skipped, and a row that passes is checked once per
+distinct type pair against that census. The type maps that match the same
+rows share one score, matched-row set and record end. It ranks by score
+descending, then serialized model text ascending, and returns every
+candidate's record line, each text built once from its group's spelling and
+its type map's name; the CLI writes those lines as they are, takes its table
+cells from them, and builds a ``SearchResult`` only for a printed row's
+witness. ``run_search`` builds one for every candidate from the same
+ranking. ``evaluate_candidate`` checks one candidate alone, through
+``verify_row``.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain, product
+from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotAFailureError
@@ -35,11 +33,13 @@ from .model import (
     Threshold,
     TypeMap,
     Unbounded,
+    _check_window,
     _text_around_type,
+    _type_counts,
     _valid_weights,
     format_model,
 )
-from .triangle import CoefficientTriangle, row_sum
+from .triangle import CoefficientTriangle
 from .verify import _entry_text, obstruction_report, verify_row
 
 
@@ -95,47 +95,50 @@ def evaluate_candidate(
 
 
 def _group_verdicts(
-    pair_columns: tuple[tuple[list[TypeMap], list[int]], ...],
+    pair_columns: tuple[list[tuple[int, int]], list[tuple[int, int]]],
     triangle: CoefficientTriangle,
     rows: tuple[int, ...],
     group: tuple[Threshold, tuple[int, int] | None],
 ) -> list[tuple[int, frozenset[int], str]]:
     """One group's verdicts, in type-map order: (score, matched rows, record
     end ``"\\t<score>\\t<matched rows>\\n"``), one tuple shared by the type maps
-    that match the same rows. Only rows whose sum equals the group's
-    valid-set size are verified, once per type pair; ``rows`` holds no row
-    twice. ``pair_columns`` holds, for even and then odd n, the first type
-    map with each distinct pair and each type map's index into those."""
+    that match the same rows. Each row's census is read once; only rows whose
+    sum equals its total are checked, once per distinct type pair; ``rows``
+    holds no row twice. ``pair_columns`` holds each type map's pair for even
+    and then odd n."""
     threshold, b_count = group
-    if not pair_columns[0][0]:
-        return []
-    first = ModelSpec(threshold, pair_columns[0][0][0], b_count)  # checks the window once
+    _check_window(b_count)
     # The row first: an absent row is refused before any census work.
-    live = [n for n in rows if row_sum(triangle, n) == sum(_valid_weights(first, n))]
+    reads = ((n, triangle.row(n), list(_valid_weights(threshold, b_count, n))) for n in rows)
+    live = [(n, w, dict(enumerate(row, start=1))) for n, row, w in reads if sum(row) == sum(w)]
     hits = []
-    for parity, (firsts, index) in enumerate(pair_columns):
-        ns = [n for n in live if n % 2 == parity]
-        # With no row to check, no model is built and every pair matches ().
-        models = [ModelSpec(threshold, m, b_count) for m in firsts] if ns else firsts
+    for parity, pairs in enumerate(pair_columns):
+        checks = [check for check in live if check[0] % 2 == parity]
         # For each distinct pair, the rows of this parity it matches.
-        found = [tuple(n for n in ns if verify_row(m, triangle, n).matches) for m in models]
-        hits.append(map(found.__getitem__, index))
+        found = {
+            pair: tuple(n for n, weights, target in checks if _type_counts(weights, pair) == target)
+            for pair in dict.fromkeys(pairs)
+        }
+        hits.append(map(found.__getitem__, pairs))
     # A type map's key is its (even rows, odd rows) pair.
     keys = list(zip(*hits))
     shared = {}
     for key in set(keys):
-        matched = sorted(key[0] + key[1])
-        text = ",".join(map(str, matched)) or "-"
-        shared[key] = (len(matched), frozenset(matched), f"\t{len(matched)}\t{text}\n")
+        matched = key[0] + key[1]
+        shared[key] = (len(matched), frozenset(matched), _record_end(len(matched), matched) + "\n")
     return list(map(shared.__getitem__, keys))
+
+
+def _record_end(score: int, rows: Iterable[int]) -> str:
+    # A search record after its model text: the score, then the matched rows
+    # ascending, or "-" when there are none.
+    return f"\t{score}\t{','.join(map(str, sorted(rows))) or '-'}"
 
 
 def rank_search(
     family: SearchFamily,
     triangle: CoefficientTriangle,
     rows: Iterable[int],
-    *,
-    workers: int = 1,
 ) -> tuple[list[str], Callable[[int], SearchResult]]:
     """Evaluate every candidate and rank by score descending, then by
     serialized model text ascending; ties keep evaluation order, the groups
@@ -143,28 +146,13 @@ def rank_search(
     in family order within each. Returns each ranked candidate's record line,
     ``result_record(r) + "\\n"``: its model text and the record end it shares
     with the type maps of its group that match the same rows. Also returns
-    a function giving the ``SearchResult`` at a rank (from 0). ``workers`` > 1
-    maps the groups over that many processes, importing the pool only then;
-    the ranking is identical."""
+    a function giving the ``SearchResult`` at a rank (from 0)."""
     type_maps = family.type_maps
-    groups = list(product(family.thresholds, family.b_count_options))
-    # For even and then odd n: the first type map with each distinct pair,
-    # and each type map's index into those.
-    columns = []
-    for pairs in ([m.even for m in type_maps], [m.odd for m in type_maps]):
-        firsts = dict(zip(reversed(pairs), reversed(type_maps)))
-        index = {pair: i for i, pair in enumerate(firsts)}
-        columns.append((list(firsts.values()), [index[pair] for pair in pairs]))
-    # A repeated row counts once.
-    evaluate = partial(_group_verdicts, tuple(columns), triangle, tuple(dict.fromkeys(rows)))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(evaluate, groups))
-    else:
-        parts = list(map(evaluate, groups))
-    verdicts = list(chain.from_iterable(parts))
+    # With no type map there is no candidate, and no row is read.
+    groups = list(product(family.thresholds, family.b_count_options)) if type_maps else []
+    pair_columns = ([m.even for m in type_maps], [m.odd for m in type_maps])
+    rows = tuple(dict.fromkeys(rows))  # a repeated row counts once
+    verdicts = [v for group in groups for v in _group_verdicts(pair_columns, triangle, rows, group)]
     texts: list[str] = []
     for threshold, b_count in groups:
         head, tail = _text_around_type(threshold, b_count)
@@ -191,10 +179,9 @@ def run_search(
     workers: int = 1,
 ) -> list[SearchResult]:
     """Evaluate every candidate and sort by score descending, then by
-    serialized model text ascending. ``workers`` > 1 maps the (threshold,
-    B-count option) groups over that many processes, importing the pool only
-    then; the output is identical."""
-    lines, result = rank_search(family, triangle, rows, workers=workers)
+    serialized model text ascending. The search runs in the calling process;
+    ``workers`` is accepted and ignored."""
+    lines, result = rank_search(family, triangle, rows)
     return [result(rank) for rank in range(len(lines))]
 
 
@@ -222,5 +209,4 @@ def witness(model: ModelSpec, triangle: CoefficientTriangle, n: int) -> str:
 
 def result_record(result: SearchResult) -> str:
     """Stable one-line record: model text, score, matched rows (tab-separated)."""
-    matched = ",".join(str(n) for n in sorted(result.matched_rows)) or "-"
-    return f"{format_model(result.model)}\t{result.score}\t{matched}"
+    return format_model(result.model) + _record_end(result.score, result.matched_rows)

@@ -2,8 +2,8 @@
 
 A predicted type with no corresponding target column counts as a mismatch
 even when all shared keys agree: a blank cell means "does not appear", not a
-free slot. Row checks for distinct n are independent pure computations, so
-callers may run them in parallel; per-row content is deterministic.
+free slot. Row checks for distinct n are independent pure computations;
+per-row content is deterministic.
 
 Machine-readable record formats (UTF-8, one record per line):
 

@@ -29,7 +29,8 @@ from gaptri import (
     valid_set,
     verify_row,
 )
-from gaptri import cli
+from gaptri import cli, search
+from gaptri.model import _type_counts
 from gaptri.cli import _k_header, _threshold_text, main
 
 BFILE_FIXTURE = str(Path(__file__).parent / "data" / "b223168_rows_1_9.txt")
@@ -535,17 +536,26 @@ class TestSearch:
 
     def test_out_formats_only_the_printed_models(self, capsys, tmp_path, monkeypatch):
         # The records and the printed cells come straight from the ranking:
-        # no model is formatted, and each live row is verified once per
-        # (group, type pair), plus once per printed row for its witness.
+        # no model is formatted, each live row is checked once per (group,
+        # type pair) against its census, and only a printed row's witness
+        # verifies a row.
         formatted = count_calls(monkeypatch, format_model)
         verified = count_calls(monkeypatch, verify_row)
+        checked = []
+
+        def check(weights, pair):
+            checked.append(pair)
+            return _type_counts(weights, pair)
+
+        monkeypatch.setattr(search, "_type_counts", check)
         out_path = tmp_path / "s9.tsv"
         code, out, err = run_cli(capsys, "search", "--rows", "1..9", "--out", str(out_path))
         assert (code, err) == (0, "")
         assert out_path.read_bytes() == SEARCH_GOLDEN.read_bytes()
         assert len(out.splitlines()) == 21
         assert len(formatted) == 0
-        assert len(verified) == 512 + 20
+        assert len(verified) == 20
+        assert len(checked) == 512
 
     def test_top_past_the_family_prints_every_candidate(self, capsys):
         code, out, err = run_cli(capsys, "search", "--rows", "1..2", "--top", "7000")
@@ -779,6 +789,24 @@ class TestOutWrites:
         assert errors == [expected, expected]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--rows", "1..3"],
+            ["obstruct", "--rows", "4"],
+            ["search", "--rows", "1..2", "--top", "0"],
+            ["ingest"],
+        ],
+    )
+    def test_empty_out_is_refused(self, capsys, tmp_path, monkeypatch, argv):
+        # An empty path names no file: the write is refused, not skipped, and
+        # the file written beside it is removed.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert (code, out) == (2, "")
+        assert err == f"gaptri: error: [Errno {errno.ENOENT}] No such file or directory: ''\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_directory_target_names_the_target(self, capsys, tmp_path):
         target = tmp_path / "report"
         target.mkdir()
@@ -966,6 +994,26 @@ class TestUsage:
         code, _, _ = run_cli(capsys, "verify", "--rows", "5..2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option, text, message",
+        [
+            ("--rows", "\u0661..\u0663", "cannot parse row range {!r}; expected a..b"),
+            (
+                "--model",
+                "gap<=\u0661; type=affine(\u0661,\u0662); bcount=*",
+                "cannot parse model text {!r}",
+            ),
+            ("--model", "gap<=1; type=parity-paper; bcount=*\n", "cannot parse model text {!r}"),
+        ],
+        ids=["rows-arabic-indic-digits", "model-arabic-indic-digits", "model-trailing-newline"],
+    )
+    def test_non_ascii_digits_and_trailing_newline_are_refused(
+        self, capsys, option, text, message
+    ):
+        code, out, err = run_cli(capsys, "verify", option, text)
+        assert (code, out) == (2, "")
+        assert err == "gaptri: error: " + message.format(text) + "\n"
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
@@ -992,8 +1040,8 @@ class TestModuleEntryPoint:
 
 
 def test_import_loads_no_pool_and_no_dataclasses():
-    # Every CLI call pays for what ``import gaptri.cli`` loads; the process
-    # pool is loaded only by a search with workers > 1.
+    # Every CLI call pays for what ``import gaptri.cli`` loads; the search
+    # runs in one process and loads no pool.
     script = (
         "import sys; before = set(sys.modules); import gaptri.cli; "
         "print(*sorted(set(sys.modules) - before))"

@@ -322,7 +322,8 @@ class TestClosedFormCensus:
                 for window in census_windows(n):
                     model = ModelSpec(threshold, ParityFlip(), window)
                     expected = type_histogram(model, n).total
-                    assert sum(_valid_weights(model, n)) == expected, (n, threshold, window)
+                    weights = _valid_weights(threshold, window, n)
+                    assert sum(weights) == expected, (n, threshold, window)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_length_below_one_is_rejected(self, n):
@@ -413,6 +414,9 @@ class TestTextForm:
             "gap<=1; type=parity-paper; bcount=2..1",
             "gap<=1; type=parity-paper; bcount=0..2",
             "gap<=1;type=parity-paper;bcount=*",
+            # The whole text, not a line of it, and ASCII digits only.
+            "gap<=1; type=parity-paper; bcount=*\n",
+            "gap<=\u0661; type=affine(\u0661,\u0662); bcount=*",
         ],
     )
     def test_parse_rejects(self, text):

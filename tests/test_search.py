@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 from test_long_rows import planted_triangle
 
 import gaptri.search
+from gaptri.model import _type_counts, _valid_weights
 from gaptri.search import rank_search
 from gaptri import (
     Affine,
@@ -141,6 +143,13 @@ class TestRunSearch:
         with pytest.raises(MissingRowError):
             run_search(default_family(), embedded_half_triangle(), [0])
 
+    def test_bad_window_is_refused(self):
+        # The search builds no model per candidate, but still checks each
+        # group's B-count window before reading a row.
+        family = default_family()._replace(b_count_options=(None, (0, 2)))
+        with pytest.raises(ValueError, match="b-count bounds need 1 <= min <= max"):
+            rank_search(family, embedded_half_triangle(), range(1, 4))
+
     def test_no_type_maps_reads_no_row(self):
         family = default_family()._replace(type_maps=())
         assert run_search(family, embedded_half_triangle(), range(1, 12)) == []
@@ -185,13 +194,14 @@ TRIANGLES = st.sampled_from([embedded_half_triangle(), planted_triangle(9)])
 class TestBehaviourClasses:
     def test_verifies_each_live_row_and_type_pair_once(self, monkeypatch):
         # A row is checked only where the model's histogram total equals the
-        # row sum, and once per (threshold, window, row, type pair).
+        # row sum, and once per (threshold, window, row, type pair): each
+        # check sums that row's census under that pair.
         family, triangle, rows = default_family(), embedded_half_triangle(), range(1, 10)
         calls = []
 
-        def counting(model, triangle, n):
-            calls.append((model.gap_threshold, model.b_count, n, model.type_map.pair(n)))
-            return verify_row(model, triangle, n)
+        def counting(weights, pair):
+            calls.append((tuple(weights), pair))
+            return _type_counts(weights, pair)
 
         live = {
             (m.gap_threshold, m.b_count, n, m.type_map.pair(n))
@@ -199,10 +209,14 @@ class TestBehaviourClasses:
             for n in rows
             if type_histogram(m, n).total == row_sum(triangle, n)
         }
-        monkeypatch.setattr(gaptri.search, "verify_row", counting)
+        monkeypatch.setattr(gaptri.search, "_type_counts", counting)
         run_search(family, triangle, rows)
-        assert len(calls) == len(set(calls)) == 512  # of 55,944 (candidate, row) pairs
-        assert set(calls) == live
+        assert len(calls) == len(live) == 512  # of 55,944 (candidate, row) pairs
+        census = Counter(
+            (tuple(_valid_weights(threshold, window, n)), pair)
+            for threshold, window, n, pair in live
+        )
+        assert Counter(calls) == census
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(

@@ -6,7 +6,9 @@ the change. For each row the script copies ``src/`` into a temporary
 directory, makes the replacement there, and runs pytest on the named tests
 with that copy first on ``PYTHONPATH``. A mutant is killed when pytest
 reports a failing test (exit status 1). First, the named tests must all
-pass on an unmutated copy, so that a kill means the mutant caused it.
+pass on an unmutated copy, so that a kill means the mutant caused it. Each
+pytest run is stopped after TIMEOUT_S seconds, so a mutant that makes a test
+hang is reported as TIMEOUT, not killed, instead of hanging the script.
 
 Usage, from any directory, with pytest and hypothesis installed:
 
@@ -14,7 +16,8 @@ Usage, from any directory, with pytest and hypothesis installed:
 
 Exits 0 when every mutant is killed; 1 when a mutant survives, when its old
 text does not occur exactly once, when pytest ends in an error other than a
-failing test, or when the unmutated copy fails a named test.
+failing test or outlasts TIMEOUT_S, or when the unmutated copy fails a named
+test.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Longest one pytest run may take; the named tests take seconds.
+TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -47,6 +53,10 @@ CENSUS = "tests/test_model.py::TestClosedFormCensus"
 HISTOGRAM = "tests/test_model.py::TestTypeHistogram"
 ENUMERATE = "tests/test_cli.py::TestEnumerate"
 RECORD_CHECKS = "tests/test_records.py::TestRecordChecks"
+PAIR_CHECK_COUNTS = (
+    "tests/test_search.py::TestBehaviourClasses::test_verifies_each_live_row_and_type_pair_once",
+    "tests/test_cli.py::TestSearch::test_out_formats_only_the_printed_models",
+)
 
 MUTANTS = (
     Mutant(
@@ -59,8 +69,8 @@ MUTANTS = (
     Mutant(
         "the record end lists the even rows only",
         "gaptri/search.py",
-        "sorted(key[0] + key[1])",
-        "sorted(key[0])",
+        "matched = key[0] + key[1]",
+        "matched = key[0]",
         (GOLDEN, "tests/test_acceptance.py::test_08_search_certificate"),
     ),
     Mutant(
@@ -186,9 +196,30 @@ MUTANTS = (
     Mutant(
         "the matched rows are not sorted",
         "gaptri/search.py",
-        "sorted(key[0] + key[1])",
-        "list(key[0] + key[1])",
+        "map(str, sorted(rows))",
+        "map(str, rows)",
         (GOLDEN,),
+    ),
+    Mutant(
+        "every row is checked, whatever its sum",
+        "gaptri/search.py",
+        "if sum(row) == sum(w)]",
+        "if True]",
+        PAIR_CHECK_COUNTS,
+    ),
+    Mutant(
+        "a group's B-count window goes unchecked",
+        "gaptri/search.py",
+        "    _check_window(b_count)\n",
+        "",
+        ("tests/test_search.py::TestRunSearch::test_bad_window_is_refused",),
+    ),
+    Mutant(
+        "a row check compares only the type keys",
+        "gaptri/search.py",
+        "_type_counts(weights, pair) == target",
+        "_type_counts(weights, pair).keys() == target.keys()",
+        (GOLDEN, "tests/test_cli.py::TestByteContract::test_digest[search-table-9]"),
     ),
     Mutant(
         "search prints one ranked row too many",
@@ -203,11 +234,17 @@ MUTANTS = (
 )
 
 
-def run_tests(src: Path, tests: tuple[str, ...]) -> int:
-    """pytest's exit status for ``tests`` run against the package in ``src``."""
+def run_tests(src: Path, tests: tuple[str, ...]) -> int | None:
+    """pytest's exit status for ``tests`` run against the package in ``src``,
+    or None when the run outlasts TIMEOUT_S and is stopped."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        done = subprocess.run(
+            command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return None
     return done.returncode
 
 
@@ -218,7 +255,7 @@ def main() -> int:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         named = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         if run_tests(src, named) != 0:
-            print("unmutated copy fails a named test; no mutant was run")
+            print("unmutated copy fails a named test or times out; no mutant was run")
             return 1
         for mutant in MUTANTS:
             target = src / mutant.path
@@ -236,7 +273,7 @@ def main() -> int:
             if status == 1:
                 print(f"killed       {mutant.name}")
             else:
-                verdict = "SURVIVED" if status == 0 else f"ERROR {status}"
+                verdict = {0: "SURVIVED", None: "TIMEOUT"}.get(status, f"ERROR {status}")
                 print(f"{verdict:<12} {mutant.name}")
                 failures += 1
     print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
