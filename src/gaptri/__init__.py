@@ -72,7 +72,6 @@ from .verify import (
     ObstructionReport,
     RowVerdict,
     boundary_check,
-    check_type_count_bound,
     obstruction_record,
     obstruction_report,
     verdict_record,

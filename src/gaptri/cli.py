@@ -26,6 +26,7 @@ from .search import default_family, rank_search, witness
 from .sequences import _SYMBOLS, check_enumerable
 from .triangle import (
     CoefficientTriangle,
+    _read_int,
     embedded_half_triangle,
     format_triangle,
     half_row_rule,
@@ -78,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    p.register("type", int, _read_int)  # -n and --top: ASCII digits only
     p.add_argument("--format", choices=("table", "tsv"), default="table")
 
 
@@ -322,12 +324,9 @@ def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> tuple[list[str], int]:
-    triangle = _load_triangle(args)
-    text = format_triangle(triangle)
-    if args.out is not None:
-        _write_out(args.out, [text])
-        return [], 0
-    return [text], 0
+    text = format_triangle(_load_triangle(args))
+    _write_out(args.out, [text])
+    return [text] if args.out is None else [], 0
 
 
 def _write_out(path: str | None, lines: Iterable[str]) -> None:
@@ -388,7 +387,7 @@ def _parse_row_rule(text: str) -> Callable[[int], int]:
         return half_row_rule
     if text.startswith("explicit:"):
         try:
-            lengths = tuple(int(tok) for tok in text[len("explicit:") :].split(","))
+            lengths = tuple(map(_read_int, text[len("explicit:") :].split(",")))
         except ValueError:
             raise ValueError(f"bad explicit row rule {text!r}") from None
 

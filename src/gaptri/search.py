@@ -40,7 +40,7 @@ from .model import (
     format_model,
 )
 from .triangle import CoefficientTriangle
-from .verify import _entry_text, obstruction_report, verify_row
+from .verify import _entry_text, _obstruction, verify_row
 
 
 class SearchFamily(NamedTuple):
@@ -195,12 +195,9 @@ def witness(model: ModelSpec, triangle: CoefficientTriangle, n: int) -> str:
     verdict = verify_row(model, triangle, n)
     if verdict.matches:
         raise NotAFailureError(n)
-    report = obstruction_report(model, triangle, n)
-    if report.obstructed:
-        return (
-            f"type-count deficit: provided {report.provided_types} "
-            f"< required {report.required_types}"
-        )
+    _, provided, required, obstructed = _obstruction(n, verdict.predicted, verdict.target)
+    if obstructed:
+        return f"type-count deficit: provided {provided} < required {required}"
     k, predicted, target = verdict.mismatch_detail[0]
     left, right = _entry_text(predicted), _entry_text(target)
     prefix = "ill-typed; " if k < 1 else ""

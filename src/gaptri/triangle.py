@@ -93,6 +93,15 @@ def half_row_rule(n: int) -> int:
     return n // 2 + 1
 
 
+def _read_int(text: str) -> int:
+    # ASCII digits after an optional minus sign, as in --rows and the model
+    # grammar; int() alone also takes "+", "_", spaces and other digits.
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def required_type_count(triangle: CoefficientTriangle, n: int) -> int:
     """Distinct types row n demands: its entry count (all entries are nonzero)."""
     return len(triangle.row(n))
@@ -124,7 +133,7 @@ def ingest_bfile(
         if len(parts) != 2:
             raise TriangleParseError(lineno, f"expected '<index> <value>', got {stripped!r}")
         try:
-            index, value = int(parts[0]), int(parts[1])
+            index, value = _read_int(parts[0]), _read_int(parts[1])
         except ValueError:
             raise TriangleParseError(lineno, f"non-integer field in {stripped!r}") from None
         if index != expected:
@@ -156,7 +165,7 @@ def parse_triangle(lines: Iterable[str], order_label: str = "") -> CoefficientTr
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            rows.append(tuple(int(token) for token in stripped.split()))
+            rows.append(tuple(map(_read_int, stripped.split())))
         except ValueError:
             raise TriangleParseError(lineno, f"non-integer token in {stripped!r}") from None
     return CoefficientTriangle(order_label, tuple(rows))

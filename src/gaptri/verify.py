@@ -2,8 +2,7 @@
 
 A predicted type with no corresponding target column counts as a mismatch
 even when all shared keys agree: a blank cell means "does not appear", not a
-free slot. Row checks for distinct n are independent pure computations;
-per-row content is deterministic.
+free slot.
 
 Machine-readable record formats (UTF-8, one record per line):
 
@@ -15,8 +14,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import ModelSpec, TypeHistogram, max_type_count, type_histogram
-from .triangle import CoefficientTriangle, required_type_count
+from .model import ModelSpec, TypeHistogram, type_histogram
+from .triangle import CoefficientTriangle
 
 
 class RowVerdict(NamedTuple):
@@ -68,23 +67,19 @@ def boundary_check(
     return [verify_row(model, triangle, n) for n in range(1, n_max + 1)]
 
 
-def check_type_count_bound(model: ModelSpec, n_max: int) -> int:
-    """Largest number of distinct types the model realizes at any length <= n_max."""
-    return max(max_type_count(model, n) for n in range(1, n_max + 1))
-
-
 def obstruction_report(
     model: ModelSpec, triangle: CoefficientTriangle, n: int
 ) -> ObstructionReport:
-    # The row first: a missing row is refused before any census work.
-    required = required_type_count(triangle, n)
-    provided = max_type_count(model, n)
-    return ObstructionReport(
-        n=n,
-        provided_types=provided,
-        required_types=required,
-        obstructed=provided < required,
-    )
+    """Counting certificate for row n: the model's distinct types at length n
+    against the row's entries. A missing row is refused before any census work."""
+    row = triangle.row(n)
+    return _obstruction(n, type_histogram(model, n), row)
+
+
+def _obstruction(n: int, predicted: TypeHistogram, row: tuple[int, ...]) -> ObstructionReport:
+    # Every row entry is nonzero, so the row needs one type per entry.
+    provided, required = len(predicted.counts), len(row)
+    return ObstructionReport(n, provided, required, provided < required)
 
 
 def verdict_record(verdict: RowVerdict) -> str:
@@ -96,6 +91,7 @@ def verdict_record(verdict: RowVerdict) -> str:
 
 
 def obstruction_record(report: ObstructionReport) -> str:
+    """One-line machine form of an obstruction report (format in the module docstring)."""
     flag = "true" if report.obstructed else "false"
     return (
         f"row={report.n} provided={report.provided_types} "

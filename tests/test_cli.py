@@ -1014,6 +1014,51 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err == "gaptri: error: " + message.format(text) + "\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "-n", "\u0661"],
+            ["stats", "-n", "1_0"],
+            ["enumerate", "-n", "+3"],
+            ["search", "--top", "\u0661"],
+            ["search", "--top", "1_0"],
+            ["search", "--top", " 1"],
+        ],
+        ids=[
+            "n-arabic-indic-digit", "n-underscore", "n-plus-sign",
+            "top-arabic-indic-digit", "top-underscore", "top-space",
+        ],
+    )
+    def test_integer_options_read_ascii_digits_only(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        option, value = argv[-2:]
+        assert err.endswith(f": error: argument {option}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize(
+        "option, text, rule, message",
+        [
+            ("--triangle", "1\n1_0 \u0663\n", None, "line 2: non-integer token in '1_0 \u0663'"),
+            ("--triangle", "+1\n", None, "line 1: non-integer token in '+1'"),
+            ("--bfile", "1 1\n2 1_0\n", "floor(n/2)+1", "line 2: non-integer field in '2 1_0'"),
+            ("--bfile", "\u0661 1\n", "floor(n/2)+1", "line 1: non-integer field in '\u0661 1'"),
+            ("--bfile", "1 1\n", "explicit:1,\u0662", "bad explicit row rule 'explicit:1,\u0662'"),
+            ("--bfile", "1 1\n", "explicit:1_0", "bad explicit row rule 'explicit:1_0'"),
+        ],
+        ids=[
+            "triangle-underscore-and-digit", "triangle-plus-sign", "bfile-underscore",
+            "bfile-arabic-indic-digit", "explicit-arabic-indic-digit", "explicit-underscore",
+        ],
+    )
+    def test_input_integers_read_ascii_digits_only(
+        self, capsys, tmp_path, option, text, rule, message
+    ):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = [option, str(path)] + (["--row-rule", rule] if rule else [])
+        code, out, err = run_cli(capsys, "ingest", *argv)
+        assert (code, out, err) == (2, "", f"gaptri: error: {message}\n")
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):

@@ -1,3 +1,4 @@
+import signal
 import time
 from itertools import product
 from math import comb
@@ -31,7 +32,7 @@ from gaptri import (
     type_of,
     valid_set,
 )
-from gaptri.model import _gap_weights, _valid_weights
+from gaptri.model import _bit_count_window, _gap_weights, _valid_weights
 
 
 def string_histogram(model, n):
@@ -329,6 +330,36 @@ class TestClosedFormCensus:
     def test_length_below_one_is_rejected(self, n):
         with pytest.raises(ValueError, match="sequence length must be >= 1"):
             type_histogram(canonical_model(), n)
+
+
+def listed_within(seconds, values):
+    """``list(values)``, or TimeoutError once an interval timer of ``seconds``
+    runs out, so that a walk that stops stepping over whole runs fails
+    instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not listed within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return list(values)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestBitCountWindow:
+    # Each window below holds 41 of the 2**40 values; visiting every value
+    # one by one would take hours.
+    def test_steps_over_runs_with_too_many_bits(self):
+        values = listed_within(2, _bit_count_window(40, 0, 1))
+        assert values == [0] + [1 << i for i in range(40)]
+
+    def test_steps_over_runs_with_too_few_bits(self):
+        full = (1 << 40) - 1
+        values = listed_within(2, _bit_count_window(40, 39, 40))
+        assert values == sorted(full ^ 1 << i for i in range(40)) + [full]
 
 
 class TestMaxTypeCount:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import count_calls
 from test_long_rows import planted_triangle
 
 import gaptri.search
@@ -296,6 +297,17 @@ class TestWitness:
     def test_matching_row_raises(self):
         with pytest.raises(NotAFailureError):
             witness(canonical_model(), embedded_half_triangle(), 2)
+
+    @pytest.mark.parametrize(
+        "model, n",
+        [(canonical_model(), 4), (ModelSpec(Unbounded(), ParityFlip()), 3)],
+        ids=["obstructed-row-4", "entry-mismatch-row-3"],
+    )
+    def test_reads_the_census_once(self, monkeypatch, model, n):
+        # The obstruction is decided on the verdict's own histogram.
+        reads = count_calls(monkeypatch, type_histogram)
+        assert witness(model, embedded_half_triangle(), n)
+        assert len(reads) == 1
 
     def test_agrees_with_verify_row_across_family_sample(self):
         triangle = embedded_half_triangle()

@@ -200,6 +200,13 @@ class TestNativeFormat:
             parse_triangle(["1", "2 x"])
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("token", ["\u0661", "1_0", "+1", "--1", "-", "\u00b2"])
+    def test_parse_reads_ascii_digits_only(self, token):
+        with pytest.raises(TriangleParseError, match="non-integer token"):
+            parse_triangle(["1", f"1 {token}"])
+        with pytest.raises(TriangleParseError, match="non-integer field"):
+            ingest_bfile(["1 1", f"2 {token}"], half_row_rule)
+
     def test_ingest_then_serialize_is_canonical(self):
         with open(BFILE_FIXTURE, encoding="utf-8") as handle:
             t = ingest_bfile(handle, half_row_rule)

@@ -222,6 +222,37 @@ MUTANTS = (
         (GOLDEN, "tests/test_cli.py::TestByteContract::test_digest[search-table-9]"),
     ),
     Mutant(
+        "the bit-count walk steps one value at a time past too many set bits",
+        "gaptri/model.py",
+        "m += m & -m",
+        "m += 1",
+        ("tests/test_model.py::TestBitCountWindow::test_steps_over_runs_with_too_many_bits",),
+    ),
+    Mutant(
+        "the bit-count walk steps one value at a time past too few set bits",
+        "gaptri/model.py",
+        "m |= m + 1",
+        "m += 1",
+        ("tests/test_model.py::TestBitCountWindow::test_steps_over_runs_with_too_few_bits",),
+    ),
+    Mutant(
+        "a row with as many types as entries counts as obstructed",
+        "gaptri/verify.py",
+        "provided < required",
+        "provided <= required",
+        (
+            "tests/test_verify.py::TestObstruction::test_row3_not_obstructed",
+            "tests/test_search.py::TestWitness",
+        ),
+    ),
+    Mutant(
+        "ingest prints its text even with --out",
+        "gaptri/cli.py",
+        "[text] if args.out is None else []",
+        "[text]",
+        ("tests/test_cli.py::TestIngest::test_out_file_quiet_stdout",),
+    ),
+    Mutant(
         "search prints one ranked row too many",
         "gaptri/cli.py",
         "lines[: args.top]",
