@@ -274,8 +274,7 @@ def _cmd_stats(args: argparse.Namespace) -> tuple[list[str], int]:
 def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     model = parse_model(args.model)
     triangle = _load_triangle(args)
-    lo, hi = _rows_range(args.rows, triangle)
-    verdicts = [verify_row(model, triangle, n) for n in range(lo, hi + 1)]
+    verdicts = [verify_row(model, triangle, n) for n in _rows_range(args.rows, triangle)]
     _write_out(args.out, (verdict_record(v) + "\n" for v in verdicts))
     body = []
     for v in verdicts:
@@ -292,8 +291,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
 def _cmd_obstruct(args: argparse.Namespace) -> tuple[list[str], int]:
     model = parse_model(args.model)
     triangle = _load_triangle(args)
-    lo, hi = _rows_range(args.rows, triangle)
-    reports = [obstruction_report(model, triangle, n) for n in range(lo, hi + 1)]
+    reports = [obstruction_report(model, triangle, n) for n in _rows_range(args.rows, triangle)]
     _write_out(args.out, (obstruction_record(r) + "\n" for r in reports))
     body = [
         [str(r.n), str(r.provided_types), str(r.required_types), "yes" if r.obstructed else "no"]
@@ -306,8 +304,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
     if args.top < 0:
         raise ValueError("--top must be >= 0")
     triangle = _load_triangle(args)
-    lo, hi = _rows_range(args.rows, triangle)
-    rows = range(lo, hi + 1)
+    rows = _rows_range(args.rows, triangle)
     lines, ranked = rank_search(default_family(), triangle, rows)
     _write_out(args.out, lines)
     body = []
@@ -400,11 +397,11 @@ def _parse_row_rule(text: str) -> Callable[[int], int]:
     raise ValueError(f"unknown row rule {text!r}")
 
 
-def _rows_range(text: str | None, triangle: CoefficientTriangle) -> tuple[int, int]:
+def _rows_range(text: str | None, triangle: CoefficientTriangle) -> range:
     if text is None:
         if triangle.height == 0:
             raise ValueError("triangle has no rows")
-        return 1, triangle.height
+        return range(1, triangle.height + 1)
     match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text, re.ASCII)
     if match is None:
         raise ValueError(f"cannot parse row range {text!r}; expected a..b")
@@ -415,7 +412,7 @@ def _rows_range(text: str | None, triangle: CoefficientTriangle) -> tuple[int, i
     if hi > triangle.height:
         # The first missing row, refused before any row is worked on.
         raise MissingRowError(max(lo, triangle.height + 1))
-    return lo, hi
+    return range(lo, hi + 1)
 
 
 _COMMANDS = {

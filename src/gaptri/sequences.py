@@ -19,8 +19,9 @@ from .errors import EmptySequenceError, InvalidLengthError, InvalidSymbolError
 #: Hard ceiling for exhaustive enumeration: at most 2**30 cheap iterations.
 MAX_N = 30
 
-#: Spells a code's binary digits as symbols, via ``str.translate``.
-_SYMBOLS = str.maketrans("01", "RB")
+#: The alphabet in both directions, via ``str.translate``: a code's binary
+#: digits spelled as symbols (0 -> R, 1 -> B), and symbols read back as digits.
+_SYMBOLS = str.maketrans("01RB", "RB01")
 
 
 class _Checked:
@@ -91,15 +92,10 @@ def parse_sequence(text: str) -> BinarySequence:
     """Decode the one-character-per-symbol text form, e.g. ``"BBR"``."""
     if text == "":
         raise EmptySequenceError()
-    code = 0
     for position, ch in enumerate(text, start=1):
-        if ch == "B":
-            code = (code << 1) | 1
-        elif ch == "R":
-            code <<= 1
-        else:
+        if ch not in "RB":
             raise InvalidSymbolError(position, ch)
-    return BinarySequence(len(text), code)
+    return BinarySequence(len(text), int(text.translate(_SYMBOLS), 2))
 
 
 def gap_statistics(seq: BinarySequence) -> GapStatistics | None:

@@ -1,21 +1,24 @@
 """Target coefficient triangles: embedded order-1/2 rows plus file ingestion.
 
-Two text encodings are understood.
+Two text encodings are understood, with one line grammar: lines are numbered
+from 1, blank lines and lines starting with ``#`` are skipped, a line is
+stripped of ASCII spaces, tabs, CR and LF only, and its tokens are split on
+runs of ASCII spaces and tabs only. Each token is ASCII digits after an
+optional minus sign. Any other blank (a no-break or ideographic space, a form
+feed) stays in its token, so the line is refused as a parse error.
 
 Native triangle format
-    One row per line, single-space-separated decimal integers, line i holding
-    row n = i. Lines starting with ``#`` are comments; blank lines and
-    surrounding whitespace are tolerated on input. Serialization is canonical:
-    rows only, no comments, one trailing newline (empty triangle -> empty
-    text), so serialize -> parse -> serialize is byte-stable.
+    One row per data line, data line i holding row n = i. Serialization is
+    canonical: single spaces, no comments, one trailing newline (empty
+    triangle -> empty text), so serialize -> parse -> serialize is byte-stable.
 
 OEIS b-file format
-    Each non-comment line is ``<index> <value>`` with 1-based contiguous
-    indices; ``#`` starts a comment. The linear term list is re-chunked into
-    rows by an explicit row-length rule (for A223168 the rule is
-    n -> floor(n/2) + 1, read off the triangle's shape). Row-length rules for
-    A223169..A223172 are not published here, so the ingester ships no default
-    for those ids: callers must always pass the rule.
+    Each data line is ``<index> <value>`` with 1-based contiguous indices.
+    The linear term list is re-chunked into rows by an explicit row-length
+    rule (for A223168 the rule is n -> floor(n/2) + 1, read off the
+    triangle's shape). Row-length rules for A223169..A223172 are not
+    published here, so the ingester ships no default for those ids: callers
+    must always pass the rule.
 
 The triangle is stored ragged, with no zero padding: an entry beyond the end
 of its row is absent rather than 0 (``verify_row`` gives None, printed as
@@ -25,7 +28,8 @@ obstruction argument counts nonzero entries.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+import re
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     IndexGapError,
@@ -102,6 +106,23 @@ def _read_int(text: str) -> int:
     return int(text)
 
 
+def _read_lines(lines: Iterable[str], bfile: bool) -> Iterator[tuple[int, ...]]:
+    """Each data line's integers, read by the grammar in the module docstring."""
+    noun = "field" if bfile else "token"
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.strip(" \t\r\n")
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = re.split("[ \t]+", stripped)
+        if bfile and len(tokens) != 2:
+            raise TriangleParseError(lineno, f"expected '<index> <value>', got {stripped!r}")
+        try:
+            values = tuple(map(_read_int, tokens))
+        except ValueError:
+            raise TriangleParseError(lineno, f"non-integer {noun} in {stripped!r}") from None
+        yield values
+
+
 def required_type_count(triangle: CoefficientTriangle, n: int) -> int:
     """Distinct types row n demands: its entry count (all entries are nonzero)."""
     return len(triangle.row(n))
@@ -124,27 +145,15 @@ def ingest_bfile(
     empty triangle.
     """
     terms: list[int] = []
-    expected = 1
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise TriangleParseError(lineno, f"expected '<index> <value>', got {stripped!r}")
-        try:
-            index, value = _read_int(parts[0]), _read_int(parts[1])
-        except ValueError:
-            raise TriangleParseError(lineno, f"non-integer field in {stripped!r}") from None
-        if index != expected:
-            raise IndexGapError(expected, index)
-        expected += 1
+    for index, value in _read_lines(lines, bfile=True):
+        if index != len(terms) + 1:
+            raise IndexGapError(len(terms) + 1, index)
         terms.append(value)
 
     rows: list[tuple[int, ...]] = []
     position = 0
-    n = 1
     while position < len(terms):
+        n = len(rows) + 1
         length = row_length_rule(n)
         if length < 1:
             raise ValueError(f"row-length rule gave {length} for row {n}")
@@ -153,22 +162,12 @@ def ingest_bfile(
             raise TruncatedRowError(n)
         rows.append(tuple(chunk))
         position += length
-        n += 1
     return CoefficientTriangle(order_label, tuple(rows))
 
 
 def parse_triangle(lines: Iterable[str], order_label: str = "") -> CoefficientTriangle:
     """Parse the native triangle format; comment and blank lines are skipped."""
-    rows: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            rows.append(tuple(map(_read_int, stripped.split())))
-        except ValueError:
-            raise TriangleParseError(lineno, f"non-integer token in {stripped!r}") from None
-    return CoefficientTriangle(order_label, tuple(rows))
+    return CoefficientTriangle(order_label, tuple(_read_lines(lines, bfile=False)))
 
 
 def format_triangle(triangle: CoefficientTriangle) -> str:

@@ -1059,6 +1059,28 @@ class TestUsage:
         code, out, err = run_cli(capsys, "ingest", *argv)
         assert (code, out, err) == (2, "", f"gaptri: error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "command, option, text, rule, message",
+        [
+            ("ingest", "--triangle", "1\n1\u30002\n", None,
+             "line 2: non-integer token in '1\\u30002'"),
+            ("verify", "--triangle", "1\n1\u30002\n", None,
+             "line 2: non-integer token in '1\\u30002'"),
+            ("ingest", "--bfile", "1\u00a01\n", "floor(n/2)+1",
+             "line 1: expected '<index> <value>', got '1\\xa01'"),
+        ],
+        ids=["ingest-triangle-ideographic-space", "verify-triangle-ideographic-space",
+             "ingest-bfile-no-break-space"],
+    )
+    def test_input_tokens_split_on_ascii_blanks_only(
+        self, capsys, tmp_path, command, option, text, rule, message
+    ):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = [option, str(path)] + (["--row-rule", rule] if rule else [])
+        code, out, err = run_cli(capsys, command, *argv)
+        assert (code, out, err) == (2, "", f"gaptri: error: {message}\n")
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):

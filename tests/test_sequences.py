@@ -40,6 +40,16 @@ class TestParse:
             parse_sequence("RXB")
         assert info.value.position == 2
 
+    # int(..., 2) alone would read each of these: "_" between digits,
+    # surrounding whitespace, another script's digit.
+    @pytest.mark.parametrize(
+        "text, position", [("R_B", 2), (" RB", 1), ("RB\n", 3), ("R\u0661", 2)]
+    )
+    def test_refuses_what_int_would_read(self, text, position):
+        with pytest.raises(InvalidSymbolError) as info:
+            parse_sequence(text)
+        assert (info.value.position, info.value.found) == (position, text[position - 1])
+
     def test_empty(self):
         with pytest.raises(EmptySequenceError):
             parse_sequence("")

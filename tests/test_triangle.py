@@ -35,6 +35,25 @@ HALF_ROWS = st.integers(0, 14).flatmap(
     lambda height: rows_of_lengths([half_row_rule(n) for n in range(1, height + 1)])
 )
 
+# Blanks other than ASCII space and tab: str.split() and str.strip() treat
+# each one as whitespace, the triangle formats do not.
+OTHER_BLANKS = pytest.mark.parametrize(
+    "blank",
+    ["\u3000", "\u00a0", "\u2003", "\x0b", "\x0c", "\x1c"],
+    ids=["ideographic-space", "no-break-space", "em-space", "vt", "ff", "file-separator"],
+)
+PLACES = pytest.mark.parametrize("place", ["between", "leading", "trailing"])
+
+
+def place_blank(blank, place, first, second):
+    """A two-token line with ``blank`` between, before or after its tokens."""
+    return {
+        "between": f"{first}{blank}{second}",
+        "leading": f"{blank}{first} {second}",
+        "trailing": f"{first} {second}{blank}",
+    }[place]
+
+
 EMBEDDED_ROWS = (
     (1,),
     (1, 2),
@@ -143,9 +162,19 @@ class TestIngest:
             ingest_bfile(["2 1"], half_row_rule)
 
     def test_comments_and_whitespace_tolerated(self):
-        lines = ["# header", "", "  1 1  ", "\t2 1", "3 2", "# trailing"]
+        lines = [
+            "# header", "", "  1 1  ", "\t2 1", "3 2", "# trailing",
+            "4  \t 3\t\r\n", " \t5\t2 \r\n", "\r\n", " \t# indented\r\n",
+        ]
         t = ingest_bfile(lines, half_row_rule)
-        assert t.rows == ((1,), (1, 2))
+        assert t.rows == ((1,), (1, 2), (3, 2))
+
+    @OTHER_BLANKS
+    @PLACES
+    def test_splits_on_ascii_blanks_only(self, blank, place):
+        with pytest.raises(TriangleParseError) as info:
+            ingest_bfile(["1 1", place_blank(blank, place, 2, 1)], half_row_rule)
+        assert info.value.line == 2
 
     def test_fixture_matches_embedded(self):
         with open(BFILE_FIXTURE, encoding="utf-8") as handle:
@@ -194,6 +223,20 @@ class TestNativeFormat:
     def test_parse_skips_comments(self):
         t = parse_triangle(["# c", "1", "", "2 3"])
         assert t.rows == ((1,), (2, 3))
+
+    def test_comments_and_whitespace_tolerated(self):
+        lines = [
+            "# header", "", "  1  ", "\t1 2", "# trailing",
+            "3  \t 2\t\r\n", " \t3\t12 4 \r\n", "\r\n", " \t# indented\r\n",
+        ]
+        assert parse_triangle(lines).rows == ((1,), (1, 2), (3, 2), (3, 12, 4))
+
+    @OTHER_BLANKS
+    @PLACES
+    def test_parse_splits_on_ascii_blanks_only(self, blank, place):
+        with pytest.raises(TriangleParseError, match="non-integer token") as info:
+            parse_triangle(["1", place_blank(blank, place, 1, 2)])
+        assert info.value.line == 2
 
     def test_parse_rejects_junk(self):
         with pytest.raises(TriangleParseError) as info:

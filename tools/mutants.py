@@ -53,6 +53,11 @@ CENSUS = "tests/test_model.py::TestClosedFormCensus"
 HISTOGRAM = "tests/test_model.py::TestTypeHistogram"
 ENUMERATE = "tests/test_cli.py::TestEnumerate"
 RECORD_CHECKS = "tests/test_records.py::TestRecordChecks"
+SPLITS_ON_ASCII_BLANKS = (
+    "tests/test_triangle.py::TestNativeFormat::test_parse_splits_on_ascii_blanks_only",
+    "tests/test_triangle.py::TestIngest::test_splits_on_ascii_blanks_only",
+    "tests/test_cli.py::TestUsage::test_input_tokens_split_on_ascii_blanks_only",
+)
 PAIR_CHECK_COUNTS = (
     "tests/test_search.py::TestBehaviourClasses::test_verifies_each_live_row_and_type_pair_once",
     "tests/test_cli.py::TestSearch::test_out_formats_only_the_printed_models",
@@ -260,6 +265,38 @@ MUTANTS = (
         (
             "tests/test_cli.py::TestByteContract::test_digest[search-table-9]",
             "tests/test_cli.py::TestSearch::test_out_formats_only_the_printed_models",
+        ),
+    ),
+    Mutant(
+        "a line's tokens are split on any whitespace",
+        "gaptri/triangle.py",
+        're.split("[ \\t]+", stripped)',
+        're.split(r"\\s+", stripped)',
+        SPLITS_ON_ASCII_BLANKS,
+    ),
+    Mutant(
+        "a line is stripped of any whitespace",
+        "gaptri/triangle.py",
+        'raw.strip(" \\t\\r\\n")',
+        "raw.strip()",
+        SPLITS_ON_ASCII_BLANKS,
+    ),
+    Mutant(
+        "a sequence's symbols go unchecked before int() reads them",
+        "gaptri/sequences.py",
+        'if ch not in "RB":',
+        "if False:",
+        ("tests/test_sequences.py::TestParse::test_refuses_what_int_would_read",),
+    ),
+    Mutant(
+        "a row range stops one row short",
+        "gaptri/cli.py",
+        "range(lo, hi + 1)",
+        "range(lo, hi)",
+        (
+            GOLDEN,
+            "tests/test_cli.py::TestVerify::test_record_file",
+            "tests/test_cli.py::TestObstruct::test_records",
         ),
     ),
 )
