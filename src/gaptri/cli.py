@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from typing import Callable, Iterable, Iterator
 
@@ -23,10 +22,9 @@ from .model import (
     type_for_gap,
 )
 from .search import default_family, rank_search, witness
-from .sequences import _SYMBOLS, check_enumerable
+from .sequences import _SYMBOLS, _read_int, check_enumerable
 from .triangle import (
     CoefficientTriangle,
-    _read_int,
     embedded_half_triangle,
     format_triangle,
     half_row_rule,
@@ -44,20 +42,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list sequences with gap/type columns")
+    p.set_defaults(run=_cmd_enumerate)
     p.add_argument("-n", type=int, required=True, help="sequence length")
     p.add_argument("--model", help="model text or 'canonical'")
     p.add_argument("--valid-only", action="store_true", help="list only valid sequences")
     _add_common(p)
 
     p = sub.add_parser("stats", help="gap distribution over all length-n sequences")
+    p.set_defaults(run=_cmd_stats)
     p.add_argument("-n", type=int, required=True, help="sequence length")
     _add_common(p)
 
-    for name, about in (
-        ("verify", "check model histograms against triangle rows"),
-        ("obstruct", "type-count obstruction reports per row"),
+    for name, about, command in (
+        ("verify", "check model histograms against triangle rows", _cmd_verify),
+        ("obstruct", "type-count obstruction reports per row", _cmd_obstruct),
     ):
         p = sub.add_parser(name, help=about)
+        p.set_defaults(run=command)
         p.add_argument("--model", default="canonical", help="model text or 'canonical'")
         _add_triangle_source(p)
         p.add_argument("--rows", help="row range a..b (default: every triangle row)")
@@ -65,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
 
     p = sub.add_parser("search", help="evaluate the candidate family against a triangle")
+    p.set_defaults(run=_cmd_search)
     _add_triangle_source(p)
     p.add_argument("--rows", help="row range a..b (default: every triangle row)")
     p.add_argument("--top", type=int, default=20, help="how many ranked candidates to print")
@@ -72,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("ingest", help="read a triangle or b-file, print canonical form")
+    p.set_defaults(run=_cmd_ingest)
     _add_triangle_source(p)
     p.add_argument("--out", help="write the canonical triangle text to this file")
 
@@ -101,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        chunks, code = _COMMANDS[args.command](args)
+        chunks, code = args.run(args)
     except (GaptriError, ValueError, OSError) as exc:
         print(f"gaptri: error: {exc}", file=sys.stderr)
         return 2
@@ -368,14 +371,14 @@ def _load_triangle(args: argparse.Namespace) -> CoefficientTriangle:
             )
         if args.triangle in (None, "embedded"):
             return embedded_half_triangle()
-        with open(args.triangle, encoding="utf-8") as handle:
+        with open(args.triangle, encoding="utf-8-sig") as handle:
             return parse_triangle(handle)
     if args.triangle is not None:
         raise ValueError("--bfile cannot be combined with --triangle")
     if args.row_rule is None:
         raise ValueError("--bfile requires --row-rule")
     rule = _parse_row_rule(args.row_rule)
-    with open(args.bfile, encoding="utf-8") as handle:
+    with open(args.bfile, encoding="utf-8-sig") as handle:
         return ingest_bfile(handle, rule)
 
 
@@ -402,24 +405,14 @@ def _rows_range(text: str | None, triangle: CoefficientTriangle) -> range:
         if triangle.height == 0:
             raise ValueError("triangle has no rows")
         return range(1, triangle.height + 1)
-    match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text, re.ASCII)
-    if match is None:
-        raise ValueError(f"cannot parse row range {text!r}; expected a..b")
-    lo = int(match.group(1))
-    hi = int(match.group(2)) if match.group(2) else lo
+    first, dots, last = text.partition("..")
+    try:
+        lo, hi = map(_read_int, (first, last if dots else first))
+    except ValueError:
+        raise ValueError(f"cannot parse row range {text!r}; expected a..b") from None
     if lo < 1 or hi < lo:
         raise ValueError("row range needs 1 <= a <= b")
     if hi > triangle.height:
         # The first missing row, refused before any row is worked on.
         raise MissingRowError(max(lo, triangle.height + 1))
     return range(lo, hi + 1)
-
-
-_COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "stats": _cmd_stats,
-    "verify": _cmd_verify,
-    "obstruct": _cmd_obstruct,
-    "search": _cmd_search,
-    "ingest": _cmd_ingest,
-}

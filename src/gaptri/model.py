@@ -33,7 +33,7 @@ from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidSequenceError, ModelParseError
-from .sequences import BinarySequence, _Checked, check_enumerable, gap_statistics
+from .sequences import BinarySequence, _Checked, _read_int, check_enumerable, gap_statistics
 
 
 class Threshold(NamedTuple):
@@ -232,9 +232,10 @@ def _gap_weights(n: int, b_count: tuple[int, int] | None) -> Iterator[int]:
 def _valid_weights(threshold: Threshold, b_count: tuple[int, int] | None, n: int) -> Iterator[int]:
     # The census entries for gaps 0..limit: entry g counts the valid length-n
     # sequences with gap g, so they sum to the valid set's size. A limit
-    # below -1 reads no entry; islice refuses a negative stop.
+    # below -1 reads no entry and one past n - 1 reads all n; islice refuses
+    # a stop below 0 or above sys.maxsize.
     limit = threshold.limit(n)
-    return islice(_gap_weights(n, b_count), max(limit + 1, 0))
+    return islice(_gap_weights(n, b_count), min(max(limit + 1, 0), n))
 
 
 def _type_counts(weights: Iterable[int], pair: tuple[int, int]) -> dict[int, int]:
@@ -297,23 +298,24 @@ def parse_model(text: str) -> ModelSpec:
     if text == "canonical":
         return canonical_model()
     m = _MODEL_RE.fullmatch(text)
-    if m is None:
-        raise ModelParseError(f"cannot parse model text {text!r}")
-    gap = m.group("gap")
-    threshold = _SPELLED_THRESHOLDS.get(gap) or Constant(int(gap))
-    type_map: TypeMap
-    if m.group("type") == "parity-paper":
-        type_map = ParityFlip()
-    elif m.group("aa") is not None:
-        type_map = Affine(int(m.group("aa")), int(m.group("ab")))
-    else:
-        type_map = EvenOddAffine(
-            (int(m.group("ea")), int(m.group("eb"))),
-            (int(m.group("oa")), int(m.group("ob"))),
-        )
-    b_count = None
-    if m.group("bcount") != "*":
-        b_count = (int(m.group("blo")), int(m.group("bhi")))
+    try:
+        if m is None:
+            raise ValueError(text)
+        gap = m.group("gap")
+        threshold = _SPELLED_THRESHOLDS.get(gap) or Constant(_read_int(gap))
+        type_map: TypeMap
+        if m.group("type") == "parity-paper":
+            type_map = ParityFlip()
+        elif m.group("aa") is not None:
+            type_map = Affine(*map(_read_int, m.group("aa", "ab")))
+        else:
+            ea, eb, oa, ob = map(_read_int, m.group("ea", "eb", "oa", "ob"))
+            type_map = EvenOddAffine((ea, eb), (oa, ob))
+        b_count = None
+        if m.group("bcount") != "*":
+            b_count = (_read_int(m.group("blo")), _read_int(m.group("bhi")))
+    except ValueError:
+        raise ModelParseError(f"cannot parse model text {text!r}") from None
     try:
         return ModelSpec(threshold, type_map, b_count)
     except ValueError as exc:

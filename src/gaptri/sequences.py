@@ -98,6 +98,17 @@ def parse_sequence(text: str) -> BinarySequence:
     return BinarySequence(len(text), int(text.translate(_SYMBOLS), 2))
 
 
+def _read_int(text: str) -> int:
+    # The one reader of integers from outside the program: ASCII digits after
+    # an optional minus sign. int() alone also takes "+", "_", spaces and
+    # other scripts' digits; a number past the interpreter's int-string limit
+    # raises ValueError too, so each caller refuses it under its own message.
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def gap_statistics(seq: BinarySequence) -> GapStatistics | None:
     """Positions of the first/last B and their distance; None when there is no B."""
     if seq.code == 0:

@@ -37,7 +37,7 @@ from .errors import (
     TriangleParseError,
     TruncatedRowError,
 )
-from .sequences import _Checked
+from .sequences import _Checked, _read_int
 
 
 class _CoefficientTriangle(NamedTuple):
@@ -95,15 +95,6 @@ def embedded_half_triangle() -> CoefficientTriangle:
 def half_row_rule(n: int) -> int:
     """Row length of the order-1/2 triangle: floor(n/2) + 1."""
     return n // 2 + 1
-
-
-def _read_int(text: str) -> int:
-    # ASCII digits after an optional minus sign, as in --rows and the model
-    # grammar; int() alone also takes "+", "_", spaces and other digits.
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
 
 
 def _read_lines(lines: Iterable[str], bfile: bool) -> Iterator[tuple[int, ...]]:

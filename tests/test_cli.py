@@ -147,6 +147,19 @@ GRID_TYPE_MAPS = [
 ]
 GRID_WINDOWS = ["*", "1..1", "1..2", "2..2", "3..5", "7..9", "2..20"]
 
+#: ASCII digits past the interpreter's default int-string limit of 4300 digits.
+OVER_LONG = "9" * 5000
+
+
+@pytest.fixture
+def default_int_limit():
+    """Hold the interpreter's default int-string limit during the test, so that
+    OVER_LONG is past it whatever PYTHONINTMAXSTRDIGITS says."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
 
 class TestEnumerate:
     def test_n2_golden_table(self, capsys):
@@ -633,6 +646,23 @@ class TestIngest:
         assert code == 2
         assert "--row-rule" in err
 
+    @pytest.mark.parametrize(
+        "option, text, rule",
+        [
+            ("--triangle", format_triangle(embedded_half_triangle()), None),
+            ("--bfile", Path(BFILE_FIXTURE).read_text(encoding="utf-8"), "floor(n/2)+1"),
+        ],
+        ids=["triangle", "bfile"],
+    )
+    def test_leading_byte_order_mark_is_skipped(self, capsys, tmp_path, option, text, rule):
+        rule_args = ["--row-rule", rule] if rule else []
+        outs = []
+        for name, mark in (("plain.txt", ""), ("marked.txt", "\ufeff")):
+            path = tmp_path / name
+            path.write_text(mark + text, encoding="utf-8")
+            outs.append(run_cli(capsys, "ingest", option, str(path), *rule_args))
+        assert outs[1] == outs[0] == (0, format_triangle(embedded_half_triangle()), "")
+
 
 class TestTriangleSource:
     @pytest.mark.parametrize("command", ["verify", "obstruct", "search", "ingest"])
@@ -1014,6 +1044,73 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err == "gaptri: error: " + message.format(text) + "\n"
 
+    def test_signed_row_range_is_read_then_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--rows=-1..3")
+        assert (code, out, err) == (2, "", "gaptri: error: row range needs 1 <= a <= b\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--rows", f"1..{OVER_LONG}"],
+             f"cannot parse row range '1..{OVER_LONG}'; expected a..b"),
+            (["verify", "--rows", OVER_LONG],
+             f"cannot parse row range '{OVER_LONG}'; expected a..b"),
+            (["obstruct", "--rows", f"{OVER_LONG}..{OVER_LONG}"],
+             f"cannot parse row range '{OVER_LONG}..{OVER_LONG}'; expected a..b"),
+            (["verify", "--model", f"gap<={OVER_LONG}; type=parity-paper; bcount=*"],
+             f"cannot parse model text 'gap<={OVER_LONG}; type=parity-paper; bcount=*'"),
+            (["verify", "--model", f"gap<=1; type=affine({OVER_LONG},1); bcount=*"],
+             f"cannot parse model text 'gap<=1; type=affine({OVER_LONG},1); bcount=*'"),
+            (["obstruct", "--model", f"gap<=1; type=even(1,{OVER_LONG})/odd(1,1); bcount=*"],
+             f"cannot parse model text 'gap<=1; type=even(1,{OVER_LONG})/odd(1,1); bcount=*'"),
+            (["enumerate", "-n", "3", "--model",
+              f"gap<=1; type=parity-paper; bcount=1..{OVER_LONG}"],
+             f"cannot parse model text 'gap<=1; type=parity-paper; bcount=1..{OVER_LONG}'"),
+            (["ingest", "--bfile", BFILE_FIXTURE, "--row-rule", f"explicit:{OVER_LONG}"],
+             f"bad explicit row rule 'explicit:{OVER_LONG}'"),
+        ],
+        ids=[
+            "rows-end", "rows-single", "rows-both-ends", "model-gap", "model-affine",
+            "model-even-odd", "model-bcount", "explicit-length",
+        ],
+    )
+    def test_over_long_numbers_are_refused(self, capsys, default_int_limit, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"gaptri: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "-n", OVER_LONG],
+            ["enumerate", "-n", OVER_LONG],
+            ["search", "--top", OVER_LONG],
+        ],
+        ids=["stats-n", "enumerate-n", "search-top"],
+    )
+    def test_over_long_integer_options_are_refused(self, capsys, default_int_limit, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        option, value = argv[-2:]
+        assert err.endswith(f": error: argument {option}: invalid int value: {value!r}\n")
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize(
+        "option, text, rule, message",
+        [
+            ("--triangle", f"1\n1 {OVER_LONG}\n", None,
+             f"line 2: non-integer token in '1 {OVER_LONG}'"),
+            ("--bfile", f"1 {OVER_LONG}\n", "floor(n/2)+1",
+             f"line 1: non-integer field in '1 {OVER_LONG}'"),
+        ],
+        ids=["triangle-token", "bfile-field"],
+    )
+    def test_over_long_file_integers_are_refused(
+        self, capsys, tmp_path, default_int_limit, option, text, rule, message
+    ):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = [option, str(path)] + (["--row-rule", rule] if rule else [])
+        assert run_cli(capsys, "ingest", *argv) == (2, "", f"gaptri: error: {message}\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1068,9 +1165,20 @@ class TestUsage:
              "line 2: non-integer token in '1\\u30002'"),
             ("ingest", "--bfile", "1\u00a01\n", "floor(n/2)+1",
              "line 1: expected '<index> <value>', got '1\\xa01'"),
+            # Only a byte-order mark that starts the file is skipped.
+            ("ingest", "--triangle", "1\n\ufeff1 2\n", None,
+             "line 2: non-integer token in '\\ufeff1 2'"),
+            ("ingest", "--triangle", "1\n1 \ufeff2\n", None,
+             "line 2: non-integer token in '1 \\ufeff2'"),
+            ("ingest", "--triangle", "\ufeff\ufeff1\n", None,
+             "line 1: non-integer token in '\\ufeff1'"),
+            ("ingest", "--bfile", "1 1\n\ufeff2 1\n", "floor(n/2)+1",
+             "line 2: non-integer field in '\\ufeff2 1'"),
         ],
         ids=["ingest-triangle-ideographic-space", "verify-triangle-ideographic-space",
-             "ingest-bfile-no-break-space"],
+             "ingest-bfile-no-break-space", "ingest-triangle-mark-at-line-start",
+             "ingest-triangle-mark-at-token-start", "ingest-triangle-second-leading-mark",
+             "ingest-bfile-mark-at-line-start"],
     )
     def test_input_tokens_split_on_ascii_blanks_only(
         self, capsys, tmp_path, command, option, text, rule, message

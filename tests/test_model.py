@@ -237,6 +237,13 @@ class TestTypeHistogram:
             assert valid_set(model, n) == valid_set(unbounded, n)
             assert type_histogram(model, n) == type_histogram(unbounded, n)
 
+    def test_limit_past_sys_maxsize_reads_every_weight(self):
+        # islice refuses a stop above sys.maxsize; the census has n entries.
+        unbounded = ModelSpec(Unbounded(), ParityFlip())
+        model = parse_model("gap<=99999999999999999999; type=parity-paper; bcount=*")
+        for n in (1, 2, 9, 40):
+            assert type_histogram(model, n) == type_histogram(unbounded, n)
+
     @pytest.mark.parametrize("model", SAMPLE_MODELS)
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_type_depends_only_on_gap(self, model, n):

@@ -58,6 +58,8 @@ SPLITS_ON_ASCII_BLANKS = (
     "tests/test_triangle.py::TestIngest::test_splits_on_ascii_blanks_only",
     "tests/test_cli.py::TestUsage::test_input_tokens_split_on_ascii_blanks_only",
 )
+OVER_LONG_NUMBERS = "tests/test_cli.py::TestUsage::test_over_long_numbers_are_refused"
+LEADING_MARK = "tests/test_cli.py::TestIngest::test_leading_byte_order_mark_is_skipped"
 PAIR_CHECK_COUNTS = (
     "tests/test_search.py::TestBehaviourClasses::test_verifies_each_live_row_and_type_pair_once",
     "tests/test_cli.py::TestSearch::test_out_formats_only_the_printed_models",
@@ -298,6 +300,44 @@ MUTANTS = (
             "tests/test_cli.py::TestVerify::test_record_file",
             "tests/test_cli.py::TestObstruct::test_records",
         ),
+    ),
+    Mutant(
+        "a row range's ends are read by int()",
+        "gaptri/cli.py",
+        "map(_read_int, (first,",
+        "map(int, (first,",
+        (
+            "tests/test_cli.py::TestUsage::test_non_ascii_digits_and_trailing_newline_are_refused"
+            "[rows-arabic-indic-digits]",
+        ),
+    ),
+    Mutant(
+        "an over-long model number escapes the model text refusal",
+        "gaptri/model.py",
+        '    except ValueError:\n        raise ModelParseError(f"cannot parse model text',
+        '    except TypeError:\n        raise ModelParseError(f"cannot parse model text',
+        tuple(f"{OVER_LONG_NUMBERS}[model-{part}]" for part in ("gap", "affine", "bcount")),
+    ),
+    Mutant(
+        "a --triangle file's byte-order mark is read as text",
+        "gaptri/cli.py",
+        'open(args.triangle, encoding="utf-8-sig")',
+        'open(args.triangle, encoding="utf-8")',
+        (f"{LEADING_MARK}[triangle]",),
+    ),
+    Mutant(
+        "a --bfile file's byte-order mark is read as text",
+        "gaptri/cli.py",
+        'open(args.bfile, encoding="utf-8-sig")',
+        'open(args.bfile, encoding="utf-8")',
+        (f"{LEADING_MARK}[bfile]",),
+    ),
+    Mutant(
+        "a gap limit past sys.maxsize reaches islice",
+        "gaptri/model.py",
+        "min(max(limit + 1, 0), n)",
+        "max(limit + 1, 0)",
+        (f"{HISTOGRAM}::test_limit_past_sys_maxsize_reads_every_weight",),
     ),
 )
 
