@@ -16,7 +16,6 @@ from .model import (
     ModelSpec,
     Unbounded,
     _bit_count_window,
-    _gap_weights,
     _valid_weights,
     parse_model,
     type_for_gap,
@@ -270,7 +269,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
 
 def _cmd_stats(args: argparse.Namespace) -> tuple[list[str], int]:
     check_enumerable(args.n)
-    body = [[str(gap), str(count)] for gap, count in enumerate(_gap_weights(args.n, None))]
+    body = [[str(g), str(c)] for g, c in enumerate(_valid_weights(Unbounded(), None, args.n))]
     return [_render(["gap", "count"], body, args.format)], 0
 
 

@@ -18,9 +18,9 @@ Models serialize to a single line, grammar::
 e.g. ``gap<=1; type=parity-paper; bcount=*`` for the canonical model.
 
 Type histograms come from the closed-form gap/B-count census (n sequences
-with gap 0, and (n - g) * C(g - 1, b - 2) with gap g >= 1 and b B's), read
-only up to the gap limit, through one reader, ``_valid_weights``, and with
-no memo, so any n >= 1 is accepted.
+with gap 0, and (n - g) * C(g - 1, b - 2) with gap g >= 1 and b B's). One
+generator, ``_valid_weights``, yields it up to the gap limit, with no memo,
+so any n >= 1 is accepted.
 ``valid_set`` visits only the valid codes, in time proportional to its
 output; like ``enumerate_all`` it accepts n <= MAX_N = 30, to bound its list.
 """
@@ -28,7 +28,6 @@ output; like ``enumerate_all`` it accepts n <= MAX_N = 30, to bound its list.
 from __future__ import annotations
 
 import re
-from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
@@ -213,29 +212,24 @@ def _bit_count_window(bits: int, lo: int, hi: int) -> Iterator[int]:
             m += 1
 
 
-def _gap_weights(n: int, b_count: tuple[int, int] | None) -> Iterator[int]:
-    # Entry g (0 <= g < n) counts the length-n sequences with gap g whose
-    # B-count lies in the window (any when None): n at g = 0 (one B, n places)
-    # and (n - g) * s at g >= 1 (outer B's at n - g places, g - 1 inner
-    # symbols), where s sums C(g - 1, b - 2) over the window's B-counts b.
-    # Pascal's rule carries s to g + 1 in O(1) big-int steps; there is no memo.
+def _valid_weights(threshold: Threshold, b_count: tuple[int, int] | None, n: int) -> Iterator[int]:
+    # The census: entry g (0 <= g <= limit, g < n) counts the length-n
+    # sequences with gap g and a B-count in the window (any when None), so the
+    # entries sum to the valid set's size: n at g = 0 (one B, n places) and
+    # (n - g) * s at g >= 1 (outer B's at n - g places), where s sums
+    # C(g - 1, b - 2) over the window's B-counts b. Pascal's rule carries s to
+    # g + 1; a window end inside 1..n costs a math.comb at every gap past it.
+    stop = min(threshold.limit(n) + 1, n)
+    if stop < 1:
+        return
     lo, hi = b_count or (1, n)
     a, b = max(lo - 2, 0), hi - 2
     yield n if lo <= 1 <= hi else 0
     s = 1 if a == 0 <= b else 0
-    for g in range(1, n):
+    for g in range(1, stop):
         yield (n - g) * s
         if b >= 0:
             s = 2 * s - comb(g - 1, b) + (comb(g - 1, a - 1) if a else 0)
-
-
-def _valid_weights(threshold: Threshold, b_count: tuple[int, int] | None, n: int) -> Iterator[int]:
-    # The census entries for gaps 0..limit: entry g counts the valid length-n
-    # sequences with gap g, so they sum to the valid set's size. A limit
-    # below -1 reads no entry and one past n - 1 reads all n; islice refuses
-    # a stop below 0 or above sys.maxsize.
-    limit = threshold.limit(n)
-    return islice(_gap_weights(n, b_count), min(max(limit + 1, 0), n))
 
 
 def _type_counts(weights: Iterable[int], pair: tuple[int, int]) -> dict[int, int]:
@@ -311,6 +305,8 @@ def parse_model(text: str) -> ModelSpec:
         else:
             ea, eb, oa, ob = map(_read_int, m.group("ea", "eb", "oa", "ob"))
             type_map = EvenOddAffine((ea, eb), (oa, ob))
+        if max(map(abs, type_map.even + type_map.odd)) >= 10**18:
+            raise ValueError(text)  # keeps every type index a*gap + b printable
         b_count = None
         if m.group("bcount") != "*":
             b_count = (_read_int(m.group("blo")), _read_int(m.group("bhi")))

@@ -1077,6 +1077,20 @@ class TestUsage:
     def test_over_long_numbers_are_refused(self, capsys, default_int_limit, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"gaptri: error: {message}\n")
 
+    @pytest.mark.parametrize("digits", [19, 4300], ids=["19-digits", "4300-digits"])
+    @pytest.mark.parametrize(
+        "type_text",
+        ["affine({c},1)", "affine(1,-{c})", "even(1,1)/odd({c},1)", "even(1,-{c})/odd(1,1)"],
+        ids=["affine-slope", "affine-offset", "odd-slope", "even-offset"],
+    )
+    def test_huge_type_coefficients_are_refused(self, capsys, default_int_limit, digits, type_text):
+        # A coefficient of 10**18 or more could make a type index a*gap + b
+        # too long to print; it is refused as model text instead.
+        text = f"gap<=inf; type={type_text.format(c='9' * digits)}; bcount=*"
+        code, out, err = run_cli(capsys, "verify", "--rows", "1..3", "--model", text)
+        assert (code, out, err) == (2, "", f"gaptri: error: cannot parse model text {text!r}\n")
+        assert "set_int_max_str_digits" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -25,7 +25,7 @@ from gaptri import (
     parse_triangle,
     run_search,
 )
-from gaptri import model as model_module
+from gaptri import search as search_module
 from gaptri.cli import main
 
 PLANTED = ModelSpec(HalfFloor(), Affine(1, 1), (1, 3))
@@ -86,13 +86,13 @@ class TestPlantedPastMaxN:
             b_count_options=(None, (1, 1), (1, 3)),
         )
         calls = []
-        census = model_module._gap_weights
+        census = search_module._valid_weights
 
-        def counted(n, window):
+        def counted(threshold, window, n):
             calls.append(n)
-            return census(n, window)
+            return census(threshold, window, n)
 
-        monkeypatch.setattr(model_module, "_gap_weights", counted)
+        monkeypatch.setattr(search_module, "_valid_weights", counted)
         run_search(family, planted_triangle(rows), range(1, rows + 1))
         groups = len(family.thresholds) * len(family.b_count_options)
         assert len(calls) == groups * rows == 900

@@ -32,7 +32,7 @@ from gaptri import (
     type_of,
     valid_set,
 )
-from gaptri.model import _bit_count_window, _gap_weights, _valid_weights
+from gaptri.model import _bit_count_window, _valid_weights
 
 
 def string_histogram(model, n):
@@ -238,7 +238,7 @@ class TestTypeHistogram:
             assert type_histogram(model, n) == type_histogram(unbounded, n)
 
     def test_limit_past_sys_maxsize_reads_every_weight(self):
-        # islice refuses a stop above sys.maxsize; the census has n entries.
+        # A limit past sys.maxsize reads all n census entries.
         unbounded = ModelSpec(Unbounded(), ParityFlip())
         model = parse_model("gap<=99999999999999999999; type=parity-paper; bcount=*")
         for n in (1, 2, 9, 40):
@@ -282,12 +282,13 @@ class TestClosedFormCensus:
                 sum(c for (gap, b), c in census.items() if gap == g and lo <= b <= hi)
                 for g in range(n)
             )
-            assert tuple(_gap_weights(n, window)) == expected, window
+            assert tuple(_valid_weights(Unbounded(), window, n)) == expected, window
 
     def test_weights_equal_binomial_sums_past_max_n(self):
         for n in range(1, 81):
             for window in census_windows(n):
-                assert tuple(_gap_weights(n, window)) == comb_weights(n, window), (n, window)
+                weights = tuple(_valid_weights(Unbounded(), window, n))
+                assert weights == comb_weights(n, window), (n, window)
 
     def test_canonical_histogram_reads_only_to_its_limit(self):
         # Gap <= 1 reads two census entries, however long the row.
@@ -436,6 +437,14 @@ class TestTextForm:
         # Same affine pairs, different spellings: distinct models.
         assert ParityFlip() != EvenOddAffine((-1, 2), (1, 1))
         assert Affine(1, 1) != EvenOddAffine((1, 1), (1, 1))
+
+    def test_coefficients_stay_below_ten_to_the_eighteen(self):
+        big = 10**18 - 1
+        model = parse_model(f"gap<=1; type=even({big},-{big})/odd(-{big},{big}); bcount=*")
+        assert model.type_map == EvenOddAffine((big, -big), (-big, big))
+        for text in ("affine(1000000000000000000,1)", "affine(1,-1000000000000000000)"):
+            with pytest.raises(ModelParseError, match="cannot parse model text"):
+                parse_model(f"gap<=1; type={text}; bcount=*")
 
     def test_parse_normalises_spelling(self):
         model = parse_model("gap<=1; type=affine(01,-0); bcount=*")

@@ -88,25 +88,51 @@ MUTANTS = (
         (GOLDEN, "tests/test_search.py::TestRunSearch::test_sorted_by_score_then_text"),
     ),
     Mutant(
-        "a gap limit below -1 reads a weight",
+        "the census reads one entry past the gap limit",
         "gaptri/model.py",
-        "max(limit + 1, 0)",
-        "limit + 1",
+        "min(threshold.limit(n) + 1, n)",
+        "min(threshold.limit(n) + 2, n)",
         (
             f"{CENSUS}::test_valid_total_equals_histogram_total",
             f"{HISTOGRAM}::test_negative_limit_counts_only_valid_sequences",
+            "tests/test_acceptance.py::test_01_theorem_reproduction",
         ),
     ),
     Mutant(
-        "the census cut reads one weight short",
+        "the census reads one entry short of the gap limit",
         "gaptri/model.py",
-        "max(limit + 1, 0)",
-        "max(limit, 0)",
+        "min(threshold.limit(n) + 1, n)",
+        "min(threshold.limit(n), n)",
         (
             f"{HISTOGRAM}::test_small_rows",
             f"{HISTOGRAM}::test_negative_limit_counts_only_valid_sequences",
             "tests/test_acceptance.py::test_01_theorem_reproduction",
             "tests/test_acceptance.py::test_08_search_certificate",
+        ),
+    ),
+    Mutant(
+        "a gap limit of -1 reads the gap-0 entry",
+        "gaptri/model.py",
+        "if stop < 1:",
+        "if stop < 0:",
+        (f"{HISTOGRAM}::test_negative_limit_counts_only_valid_sequences",),
+    ),
+    Mutant(
+        "a gap limit past n - 1 reads entries past the longest gap",
+        "gaptri/model.py",
+        "min(threshold.limit(n) + 1, n)",
+        "threshold.limit(n) + 1",
+        (f"{HISTOGRAM}::test_constant_at_least_n_minus_1_equals_unbounded",),
+    ),
+    Mutant(
+        "a type-map coefficient of 10**18 or more is accepted",
+        "gaptri/model.py",
+        "        if max(map(abs, type_map.even + type_map.odd)) >= 10**18:\n"
+        "            raise ValueError(text)",
+        "        if False:\n            pass",
+        (
+            "tests/test_cli.py::TestUsage::test_huge_type_coefficients_are_refused",
+            "tests/test_model.py::TestTextForm::test_coefficients_stay_below_ten_to_the_eighteen",
         ),
     ),
     Mutant(
@@ -331,13 +357,6 @@ MUTANTS = (
         'open(args.bfile, encoding="utf-8-sig")',
         'open(args.bfile, encoding="utf-8")',
         (f"{LEADING_MARK}[bfile]",),
-    ),
-    Mutant(
-        "a gap limit past sys.maxsize reaches islice",
-        "gaptri/model.py",
-        "min(max(limit + 1, 0), n)",
-        "max(limit + 1, 0)",
-        (f"{HISTOGRAM}::test_limit_past_sys_maxsize_reads_every_weight",),
     ),
 )
 
