@@ -280,7 +280,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     _write_out(args.out, (verdict_record(v) + "\n" for v in verdicts))
     body = []
     for v in verdicts:
-        predicted = ",".join(f"{k}:{c}" for k, c in v.predicted.counts.items()) or "-"
+        predicted = ",".join(f"{k}:{_entry_text(c)}" for k, c in v.predicted.counts.items()) or "-"
         target = ",".join(str(e) for e in v.target)
         detail = "; ".join(
             f"k={k}: {_entry_text(p)} vs {_entry_text(t)}" for k, p, t in v.mismatch_detail

@@ -6,9 +6,9 @@ known candidate set. ``rank_search`` takes the candidates one group at a
 time, the type maps under one threshold and B-count option. A group shares
 one census, read once per row; a row whose sum differs from the census total
 matches no member and is skipped, and a row that passes is checked once per
-distinct type pair against that census. The type maps that match the same
-rows share one score, matched-row set and record end. It ranks by score
-descending, then serialized model text ascending, and returns every
+distinct type pair against that census. The candidates that match the same
+rows, in any group, share one matched-row set and record end. It ranks by
+score descending, then serialized model text ascending, and returns every
 candidate's record line, each text built once from its group's spelling and
 its type map's name; the CLI writes those lines as they are, takes its table
 cells from them, and builds a ``SearchResult`` only for a printed row's
@@ -94,18 +94,17 @@ def evaluate_candidate(
     return SearchResult(model=model, matched_rows=matched, score=len(matched))
 
 
-def _group_verdicts(
+def _group_matches(
     pair_columns: tuple[list[tuple[int, int]], list[tuple[int, int]]],
     triangle: CoefficientTriangle,
     rows: tuple[int, ...],
     group: tuple[Threshold, tuple[int, int] | None],
-) -> list[tuple[int, frozenset[int], str]]:
-    """One group's verdicts, in type-map order: (score, matched rows, record
-    end ``"\\t<score>\\t<matched rows>\\n"``), one tuple shared by the type maps
-    that match the same rows. Each row's census is read once; only rows whose
-    sum equals its total are checked, once per distinct type pair; ``rows``
-    holds no row twice. ``pair_columns`` holds each type map's pair for even
-    and then odd n."""
+) -> list[tuple[int, ...]]:
+    """One group's matches, in type-map order: the rows each type map
+    matches, its even rows and then its odd rows. Each row's census is read
+    once; only rows whose sum equals its total are checked, once per distinct
+    type pair; ``rows`` holds no row twice. ``pair_columns`` holds each type
+    map's pair for even and then odd n."""
     threshold, b_count = group
     _check_window(b_count)
     # The row first: an absent row is refused before any census work.
@@ -120,13 +119,7 @@ def _group_verdicts(
             for pair in dict.fromkeys(pairs)
         }
         hits.append(map(found.__getitem__, pairs))
-    # A type map's key is its (even rows, odd rows) pair.
-    keys = list(zip(*hits))
-    shared = {}
-    for key in set(keys):
-        matched = key[0] + key[1]
-        shared[key] = (len(matched), frozenset(matched), _record_end(len(matched), matched) + "\n")
-    return list(map(shared.__getitem__, keys))
+    return [even + odd for even, odd in zip(*hits)]
 
 
 def _record_end(score: int, rows: Iterable[int]) -> str:
@@ -145,30 +138,31 @@ def rank_search(
     as (threshold, B-count option) pairs in product order and the type maps
     in family order within each. Returns each ranked candidate's record line,
     ``result_record(r) + "\\n"``: its model text and the record end it shares
-    with the type maps of its group that match the same rows. Also returns
-    a function giving the ``SearchResult`` at a rank (from 0)."""
+    with every candidate that matches the same rows. Also returns a function
+    giving the ``SearchResult`` at a rank (from 0)."""
     type_maps = family.type_maps
     # With no type map there is no candidate, and no row is read.
     groups = list(product(family.thresholds, family.b_count_options)) if type_maps else []
     pair_columns = ([m.even for m in type_maps], [m.odd for m in type_maps])
     rows = tuple(dict.fromkeys(rows))  # a repeated row counts once
-    verdicts = [v for group in groups for v in _group_verdicts(pair_columns, triangle, rows, group)]
+    matches = [m for group in groups for m in _group_matches(pair_columns, triangle, rows, group)]
+    # One row set and record end per distinct row tuple.
+    shared = {key: (frozenset(key), _record_end(len(key), key) + "\n") for key in set(matches)}
     texts: list[str] = []
     for threshold, b_count in groups:
         head, tail = _text_around_type(threshold, b_count)
         texts += [f"{head}{m.name}{tail}" for m in type_maps]
     # Two stable sorts: by text, then by score.
     order = sorted(range(len(texts)), key=texts.__getitem__)
-    order.sort(key=[v[0] for v in verdicts].__getitem__, reverse=True)
+    order.sort(key=[len(m) for m in matches].__getitem__, reverse=True)
 
     def result(rank: int) -> SearchResult:
         i = order[rank]
         threshold, b_count = groups[i // len(type_maps)]
-        score, matched, _ = verdicts[i]
         model = ModelSpec(threshold, type_maps[i % len(type_maps)], b_count)
-        return SearchResult(model, matched, score)
+        return SearchResult(model, shared[matches[i]][0], len(matches[i]))
 
-    return [texts[i] + verdicts[i][2] for i in order], result
+    return [texts[i] + shared[matches[i]][1] for i in order], result
 
 
 def run_search(

@@ -57,7 +57,14 @@ def verify_row(model: ModelSpec, triangle: CoefficientTriangle, n: int) -> RowVe
 
 
 def _entry_text(entry: int | None) -> str:
-    return "absent" if entry is None else str(entry)
+    if entry is None:
+        return "absent"
+    try:
+        return str(entry)
+    except ValueError:  # past the int-string limit, which the readers keep
+        from decimal import Decimal
+
+        return str(Decimal(entry))
 
 
 def boundary_check(
@@ -84,7 +91,7 @@ def _obstruction(n: int, predicted: TypeHistogram, row: tuple[int, ...]) -> Obst
 
 def verdict_record(verdict: RowVerdict) -> str:
     """One-line machine form of a row verdict (format in the module docstring)."""
-    predicted = ",".join(f"{k}:{c}" for k, c in verdict.predicted.counts.items())
+    predicted = ",".join(f"{k}:{_entry_text(c)}" for k, c in verdict.predicted.counts.items())
     target = ",".join(str(entry) for entry in verdict.target)
     flag = "true" if verdict.matches else "false"
     return f"row={verdict.n} match={flag} predicted={predicted} target={target}"

@@ -1,3 +1,4 @@
+import decimal
 import errno
 import hashlib
 import io
@@ -1106,6 +1107,24 @@ class TestUsage:
         option, value = argv[-2:]
         assert err.endswith(f": error: argument {option}: invalid int value: {value!r}\n")
         assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("n", [14284, 14300])
+    def test_census_counts_past_the_int_limit_print_in_full(
+        self, capsys, tmp_path, default_int_limit, n
+    ):
+        # The full census at length n sums to 2**n - 1, which has more than
+        # 4300 digits from n = 14285 on; it prints in full all the same.
+        triangle, record = tmp_path / "ones.txt", tmp_path / "record.txt"
+        triangle.write_text("1\n" * n, encoding="utf-8")
+        model = "gap<=inf; type=affine(0,1); bcount=*"
+        argv = ["--triangle", str(triangle), "--rows", str(n), "--model", model]
+        code, out, err = run_cli(capsys, "verify", *argv, "--out", str(record))
+        count = str(decimal.Decimal(2**n - 1))
+        assert (code, err) == (1, "")
+        assert f" 1:{count} " in out and f"k=1: {count} vs 1" in out
+        assert record.read_text(encoding="utf-8") == (
+            f"row={n} match=false predicted=1:{count} target=1\n"
+        )
 
     @pytest.mark.parametrize(
         "option, text, rule, message",

@@ -1,7 +1,11 @@
+from itertools import product
+
 import pytest
 
 from gaptri import (
+    Affine,
     Constant,
+    EvenOddAffine,
     ModelSpec,
     ParityFlip,
     Unbounded,
@@ -9,6 +13,7 @@ from gaptri import (
     canonical_model,
     default_family,
     embedded_half_triangle,
+    format_model,
     max_type_count,
     obstruction_record,
     obstruction_report,
@@ -80,6 +85,43 @@ class TestTypeCountBound:
     def test_constant_two_bound(self):
         model = ModelSpec(Constant(2), ParityFlip())
         assert most_types(model, 5) == 3
+
+    def test_closed_form(self):
+        # One B has gap 0; b >= 2 B's have every gap from b - 1 to n - 1, and
+        # the threshold caps the gap at ``limit``. A slope-0 type map gives
+        # all its gaps one type.
+        family = default_family()
+        type_maps = (
+            ParityFlip(), Affine(1, 1), Affine(-1, 2), Affine(0, 1),
+            EvenOddAffine((0, 3), (2, 0)),
+        )
+        pairs = 0
+        for threshold, window, type_map in product(
+            family.thresholds, family.b_count_options, type_maps
+        ):
+            model = ModelSpec(threshold, type_map, window)
+            for n in range(1, 31):
+                limit = min(threshold.limit(n), n - 1)
+                lo, hi = window or (1, n)
+                hi = min(hi, n)
+                gaps = 0
+                if limit >= 0:
+                    gaps = (lo == 1) + (max(0, limit - max(lo, 2) + 2) if hi >= 2 else 0)
+                expected = gaps if type_map.pair(n)[0] else min(gaps, 1)
+                assert max_type_count(model, n) == expected, (format_model(model), n)
+                pairs += 1
+        assert pairs == 3600
+
+    @pytest.mark.parametrize("c", range(4))
+    def test_gap_bound_obstructs_every_row_from_2c_plus_2(self, c):
+        # At most c + 1 types against the n // 2 + 1 entries of row n; the
+        # paper's theorem is c = 1, obstructed from row 4.
+        triangle = embedded_half_triangle()
+        models = [m for m in default_family().candidates() if m.gap_threshold == Constant(c)]
+        assert len(models) == 1036
+        for model in models:
+            for n in range(2 * c + 2, 10):
+                assert obstruction_report(model, triangle, n).obstructed, (format_model(model), n)
 
 
 class TestObstruction:

@@ -76,14 +76,14 @@ MUTANTS = (
     Mutant(
         "the record end lists the even rows only",
         "gaptri/search.py",
-        "matched = key[0] + key[1]",
-        "matched = key[0]",
+        "return [even + odd for even, odd in zip(*hits)]",
+        "return [even for even, odd in zip(*hits)]",
         (GOLDEN, "tests/test_acceptance.py::test_08_search_certificate"),
     ),
     Mutant(
         "the ranking ignores the score",
         "gaptri/search.py",
-        "    order.sort(key=[v[0] for v in verdicts].__getitem__, reverse=True)\n",
+        "    order.sort(key=[len(m) for m in matches].__getitem__, reverse=True)\n",
         "",
         (GOLDEN, "tests/test_search.py::TestRunSearch::test_sorted_by_score_then_text"),
     ),
@@ -204,8 +204,8 @@ MUTANTS = (
     Mutant(
         "an absent entry is spelled another way",
         "gaptri/verify.py",
-        '"absent" if entry is None',
-        '"missing" if entry is None',
+        'return "absent"',
+        'return "missing"',
         (
             ACCEPTANCE_02,
             "tests/test_cli.py::TestVerify::test_row_four_fails_with_detail",
@@ -220,10 +220,12 @@ MUTANTS = (
         (ACCEPTANCE_02, "tests/test_verify.py::TestVerifyRow::test_row4_mismatch_detail"),
     ),
     Mutant(
-        "type maps with equal even rows share one record end",
+        "candidates that match as many rows share one record end",
         "gaptri/search.py",
-        "    return list(map(shared.__getitem__, keys))",
-        "    return [shared[next(k for k in shared if k[0] == key[0])] for key in keys]",
+        'shared = {key: (frozenset(key), _record_end(len(key), key) + "\\n") '
+        "for key in set(matches)}",
+        'ends = {len(key): _record_end(len(key), key) + "\\n" for key in set(matches)}; '
+        "shared = {key: (frozenset(key), ends[len(key)]) for key in set(matches)}",
         (GOLDEN, "tests/test_cli.py::TestByteContract::test_digest[search-table-9]"),
     ),
     Mutant(
@@ -277,6 +279,13 @@ MUTANTS = (
             "tests/test_verify.py::TestObstruction::test_row3_not_obstructed",
             "tests/test_search.py::TestWitness",
         ),
+    ),
+    Mutant(
+        "a census count past the int-string limit has no fallback spelling",
+        "gaptri/verify.py",
+        "return str(Decimal(entry))",
+        "return str(entry)",
+        ("tests/test_cli.py::TestUsage::test_census_counts_past_the_int_limit_print_in_full",),
     ),
     Mutant(
         "ingest prints its text even with --out",
