@@ -1,6 +1,7 @@
 import decimal
 import errno
 import hashlib
+import importlib
 import io
 import os
 import stat
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaptri
 from gaptri import (
     ModelSpec,
     Threshold,
@@ -30,7 +32,7 @@ from gaptri import (
     valid_set,
     verify_row,
 )
-from gaptri import cli, search
+from gaptri import cli, listing, search
 from gaptri.model import _type_counts
 from gaptri.cli import _k_header, _threshold_text, main
 
@@ -278,11 +280,11 @@ class TestEnumerate:
         code, full, _ = run_cli(capsys, *argv)
         assert code == 0
         bound = (rows + 1) * len(full.splitlines(keepends=True)[0])
-        monkeypatch.setattr(cli, "_LISTING_BYTES", bound - 1)
+        monkeypatch.setattr(listing, "_LISTING_BYTES", bound - 1)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == TOO_LONG.format(rows, bound - 1)
-        monkeypatch.setattr(cli, "_LISTING_BYTES", bound)
+        monkeypatch.setattr(listing, "_LISTING_BYTES", bound)
         assert run_cli(capsys, *argv) == (0, full, "")
 
     @pytest.mark.parametrize(
@@ -325,7 +327,7 @@ class TestEnumerate:
     def assert_bounded(sizes):
         # Every write is one non-empty block of at most a chunk; stdout's
         # own buffer batches the small ones.
-        assert all(0 < size <= cli._CHUNK_BYTES for size in sizes)
+        assert all(0 < size <= listing._CHUNK_BYTES for size in sizes)
 
     def test_rows_stream_in_bounded_writes(self, monkeypatch):
         model = "gap<=inf; type=affine(1,1); bcount=*"
@@ -372,7 +374,7 @@ class TestEnumerate:
         rows = [cells for cells in body if cells[-1] == "Yes"] if valid_only else body
         sink = io.StringIO()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_CHUNK_BYTES", chunk)
+            patch.setattr(listing, "_CHUNK_BYTES", chunk)
             patch.setattr(sys, "stdout", sink)
             assert main(argv) == 0
         assert sink.getvalue() == oracle_render(headers, rows, fmt), argv
@@ -1247,16 +1249,120 @@ class TestModuleEntryPoint:
         assert err == b""
 
 
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter; return its stdout's words."""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+# Prints each gaptri module that has executed. A layer not yet executed is in
+# sys.modules as a LazyLoader module, whose type is a ModuleType subclass.
+# Only its type is read: vars() or any attribute access would execute it.
+PRINT_EXECUTED = (
+    "import sys, types; "
+    "print(*(name for name, module in list(sys.modules.items()) "
+    "if name.startswith('gaptri.') and type(module) is types.ModuleType))"
+)
+
+
 def test_import_loads_no_pool_and_no_dataclasses():
     # Every CLI call pays for what ``import gaptri.cli`` loads; the search
-    # runs in one process and loads no pool.
-    script = (
+    # runs in one process and loads no pool, and no layer executes before
+    # a command uses it.
+    added = run_fresh(
         "import sys; before = set(sys.modules); import gaptri.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    added = set(result.stdout.split())
     assert "gaptri.cli" in added
     unwanted = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
     assert not added & unwanted
+    executed = run_fresh("import gaptri.cli; " + PRINT_EXECUTED)
+    assert "gaptri.cli" in executed
+    unexecuted = {"model", "triangle", "verify", "search", "listing"}
+    assert not executed & {f"gaptri.{name}" for name in unexecuted}
+
+
+@pytest.mark.parametrize(
+    "argv, unexecuted",
+    [
+        (["stats", "-n", "5"], {"triangle", "verify", "search"}),
+        (["enumerate", "-n", "3", "--model", "canonical"], {"triangle", "verify", "search"}),
+        (["verify", "--rows", "1..3"], {"search"}),
+        (["obstruct", "--rows", "4..5"], {"search"}),
+        (["ingest"], {"model", "verify", "search"}),
+    ],
+    ids=["stats", "enumerate", "verify", "obstruct", "ingest"],
+)
+def test_command_executes_only_the_layers_it_runs(argv, unexecuted):
+    executed = run_fresh(
+        "import contextlib, io, gaptri.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert gaptri.cli.main({argv!r}) == 0\n" + PRINT_EXECUTED
+    )
+    assert "gaptri.cli" in executed
+    assert ("gaptri.listing" in executed) == (argv[0] == "enumerate")
+    assert not executed & {f"gaptri.{name}" for name in unexecuted}
+
+
+#: Every name ``gaptri`` exports, by the layer that defines it.
+EXPORTS = {
+    "errors": (
+        "EmptySequenceError GaptriError IndexGapError InvalidLengthError "
+        "InvalidSequenceError InvalidSymbolError MissingRowError ModelParseError "
+        "NotAFailureError TriangleParseError TruncatedRowError"
+    ),
+    "model": (
+        "Affine Constant EvenOddAffine HalfFloor ModelSpec ParityFlip Threshold "
+        "TypeHistogram TypeMap Unbounded canonical_model format_model is_valid "
+        "max_type_count parse_model type_for_gap type_histogram type_of valid_set"
+    ),
+    "search": (
+        "SearchFamily SearchResult default_family evaluate_candidate result_record "
+        "run_search witness"
+    ),
+    "sequences": (
+        "MAX_N BinarySequence GapStatistics count_by_gap enumerate_all gap_statistics "
+        "parse_sequence"
+    ),
+    "triangle": (
+        "CoefficientTriangle embedded_half_triangle format_triangle half_row_rule "
+        "ingest_bfile parse_triangle required_type_count row_sum"
+    ),
+    "verify": (
+        "ObstructionReport RowVerdict boundary_check obstruction_record "
+        "obstruction_report verdict_record verify_row"
+    ),
+}
+
+
+class TestPackageExports:
+    @pytest.mark.parametrize(
+        "layer, name", [(layer, name) for layer, names in EXPORTS.items() for name in names.split()]
+    )
+    def test_name_is_its_layers_object(self, layer, name):
+        namespace = {}
+        exec(f"from gaptri import {name}", namespace)
+        assert namespace[name] is getattr(importlib.import_module(f"gaptri.{layer}"), name)
+        assert name in dir(gaptri)
+
+    def test_all_lists_exactly_the_exports(self):
+        assert sorted(gaptri.__all__) == sorted(" ".join(EXPORTS.values()).split())
+        assert len(gaptri.__all__) == 59
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            gaptri.no_such_name
+        with pytest.raises(ImportError):
+            exec("from gaptri import no_such_name", {})
+
+    def test_traced_layers_are_in_sys_modules_after_importing_the_cli(self):
+        # perfbench's tracer imports gaptri.cli, then reads each layer it
+        # wraps from sys.modules.
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        missing = run_fresh(
+            f"import sys; sys.path.insert(0, {str(perfbench)!r}); "
+            "from tracer import LAYERS; import gaptri.cli; "
+            "print(*(layer for layer in LAYERS if f'gaptri.{layer}' not in sys.modules))"
+        )
+        assert not missing

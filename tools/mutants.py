@@ -175,14 +175,14 @@ MUTANTS = (
     ),
     Mutant(
         "a listing block spans one low bit too many",
-        "gaptri/cli.py",
+        "gaptri/listing.py",
         "bits = min(most, w)",
         "bits = min(most + 1, w)",
         (f"{ENUMERATE}::test_rows_stream_in_bounded_writes",),
     ),
     Mutant(
         "a listing block key ignores the B's of the high part",
-        "gaptri/cli.py",
+        "gaptri/listing.py",
         "key = mh.bit_count() + 1 if show_bcount else 1",
         "key = 1",
         (
@@ -193,12 +193,29 @@ MUTANTS = (
     ),
     Mutant(
         "the full listing's window stops one gap short",
-        "gaptri/cli.py",
+        "gaptri/listing.py",
         "(n - 1, 0, n)",
         "(n - 2, 0, n)",
         (
             f"{ENUMERATE}::test_n2_golden_table",
             "tests/test_cli.py::TestByteContract::test_digest[enumerate-17]",
+        ),
+    ),
+    Mutant(
+        "the package executes the search layer on import",
+        "gaptri/__init__.py",
+        'search = _lazy_layer("search")',
+        "from . import search",
+        ("tests/test_cli.py::test_import_loads_no_pool_and_no_dataclasses",),
+    ),
+    Mutant(
+        "an exported name is looked up in the wrong layer",
+        "gaptri/__init__.py",
+        'run_search witness""",\n    sequences: """MAX_N',
+        'run_search""",\n    sequences: """witness MAX_N',
+        (
+            "tests/test_cli.py::TestPackageExports::test_name_is_its_layers_object"
+            "[search-witness]",
         ),
     ),
     Mutant(
@@ -339,7 +356,7 @@ MUTANTS = (
     Mutant(
         "a row range's ends are read by int()",
         "gaptri/cli.py",
-        "map(_read_int, (first,",
+        "map(sequences._read_int, (first,",
         "map(int, (first,",
         (
             "tests/test_cli.py::TestUsage::test_non_ascii_digits_and_trailing_newline_are_refused"
