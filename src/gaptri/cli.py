@@ -127,18 +127,6 @@ def _render(headers: list[str], rows: list[list[str]], fmt: str) -> str:
     return "".join(_line(cells, widths, fmt) for cells in [headers] + rows)
 
 
-def _threshold_text(spec: model.ModelSpec, n: int) -> str:
-    threshold = spec.gap_threshold
-    return "inf" if threshold == model.Unbounded() else str(threshold.limit(n))
-
-
-def _k_header(spec: model.ModelSpec, n: int) -> str:
-    if spec.type_map.name == "parity-paper":
-        return "k=2-gap" if n % 2 == 0 else "k=gap+1"
-    a, b = spec.type_map.pair(n)
-    return f"k={a}*gap{b:+d}"
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     from . import listing  # compiled only by the command that lists
 

@@ -10,8 +10,15 @@ from __future__ import annotations
 import argparse
 from typing import Iterator
 
-from .cli import _k_header, _line, _threshold_text, _widths
-from .model import _bit_count_window, _valid_weights, parse_model, type_for_gap
+from .cli import _line, _widths
+from .model import (
+    ModelSpec,
+    Unbounded,
+    _bit_count_window,
+    _valid_weights,
+    parse_model,
+    type_for_gap,
+)
 from .sequences import _SYMBOLS, check_enumerable
 
 #: Most bytes in one block; rows are never cut.
@@ -19,6 +26,18 @@ _CHUNK_BYTES = 1 << 16
 
 #: Most bytes a listing may print; a larger one is refused before its first row.
 _LISTING_BYTES = 1 << 32
+
+
+def _threshold_text(spec: ModelSpec, n: int) -> str:
+    threshold = spec.gap_threshold
+    return "inf" if threshold == Unbounded() else str(threshold.limit(n))
+
+
+def _k_header(spec: ModelSpec, n: int) -> str:
+    if spec.type_map.name == "parity-paper":
+        return "k=2-gap" if n % 2 == 0 else "k=gap+1"
+    a, b = spec.type_map.pair(n)
+    return f"k={a}*gap{b:+d}"
 
 
 def blocks(args: argparse.Namespace) -> Iterator[str]:

@@ -28,7 +28,7 @@ output; like ``enumerate_all`` it accepts n <= MAX_N = 30, to bound its list.
 from __future__ import annotations
 
 import re
-from math import comb
+from collections import namedtuple
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidSequenceError, ModelParseError
@@ -102,13 +102,9 @@ def _check_window(b_count: tuple[int, int] | None) -> None:
         raise ValueError("b-count bounds need 1 <= min <= max")
 
 
-class _ModelSpec(NamedTuple):
-    gap_threshold: Threshold
-    type_map: TypeMap
-    b_count: tuple[int, int] | None = None
-
-
-class ModelSpec(_Checked, _ModelSpec):
+class ModelSpec(
+    _Checked, namedtuple("ModelSpec", "gap_threshold type_map b_count", defaults=(None,))
+):
     __slots__ = ()
 
     def __new__(
@@ -118,12 +114,7 @@ class ModelSpec(_Checked, _ModelSpec):
         return super().__new__(cls, gap_threshold, type_map, b_count)
 
 
-class _TypeHistogram(NamedTuple):
-    counts: dict[int, int]
-    n: int
-
-
-class TypeHistogram(_Checked, _TypeHistogram):
+class TypeHistogram(_Checked, namedtuple("TypeHistogram", "counts n")):
     """Per-type counts of the valid sequences at one length.
 
     Only realized types are stored (every count >= 1); keys ascend. The total
@@ -217,19 +208,24 @@ def _valid_weights(threshold: Threshold, b_count: tuple[int, int] | None, n: int
     # sequences with gap g and a B-count in the window (any when None), so the
     # entries sum to the valid set's size: n at g = 0 (one B, n places) and
     # (n - g) * s at g >= 1 (outer B's at n - g places), where s sums
-    # C(g - 1, b - 2) over the window's B-counts b. Pascal's rule carries s to
-    # g + 1; a window end inside 1..n costs a math.comb at every gap past it.
+    # C(g - 1, j) over the inner B-counts j = a..b, the window's less two.
+    # Pascal's rule carries s to g + 1 by dropping out = C(g - 1, b) and
+    # adding into = C(g - 1, a - 1); both are carried too, by
+    # C(m + 1, j) = C(m, j) * (m + 1) // (m + 1 - j) from C(j, j) = 1 (0 below
+    # that), so every gap costs a few big-int steps whatever the window.
     stop = min(threshold.limit(n) + 1, n)
     if stop < 1:
         return
     lo, hi = b_count or (1, n)
     a, b = max(lo - 2, 0), hi - 2
     yield n if lo <= 1 <= hi else 0
-    s = 1 if a == 0 <= b else 0
+    s, out, into = int(a == 0 <= b), int(b == 0), int(a == 1)
     for g in range(1, stop):
         yield (n - g) * s
         if b >= 0:
-            s = 2 * s - comb(g - 1, b) + (comb(g - 1, a - 1) if a else 0)
+            s = 2 * s - out + into
+            out = out * g // (g - b) if g > b else int(g == b)
+            into = into * g // (g - a + 1) if g >= a else int(g == a - 1)
 
 
 def _type_counts(weights: Iterable[int], pair: tuple[int, int]) -> dict[int, int]:

@@ -12,7 +12,8 @@ only lengths 1..MAX_N = 30 (``check_enumerable``).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from typing import Iterable, Iterator
 
 from .errors import EmptySequenceError, InvalidLengthError, InvalidSymbolError
 
@@ -37,12 +38,7 @@ class _Checked:
         return cls(*fields)
 
 
-class _BinarySequence(NamedTuple):
-    n: int
-    code: int
-
-
-class BinarySequence(_Checked, _BinarySequence):
+class BinarySequence(_Checked, namedtuple("BinarySequence", "n code")):
     """One sequence; ``code`` packs the symbols as described in the module docstring."""
 
     __slots__ = ()
@@ -69,13 +65,7 @@ class BinarySequence(_Checked, _BinarySequence):
         return self.n
 
 
-class _GapStatistics(NamedTuple):
-    first_b: int
-    last_b: int
-    gap: int
-
-
-class GapStatistics(_Checked, _GapStatistics):
+class GapStatistics(_Checked, namedtuple("GapStatistics", "first_b last_b gap")):
     """First and last B positions of a sequence that contains at least one B."""
 
     __slots__ = ()

@@ -29,7 +29,8 @@ obstruction argument counts nonzero entries.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     IndexGapError,
@@ -40,12 +41,7 @@ from .errors import (
 from .sequences import _Checked, _read_int
 
 
-class _CoefficientTriangle(NamedTuple):
-    order_label: str
-    rows: tuple[tuple[int, ...], ...]
-
-
-class CoefficientTriangle(_Checked, _CoefficientTriangle):
+class CoefficientTriangle(_Checked, namedtuple("CoefficientTriangle", "order_label rows")):
     """Ragged integer triangle; rows index n >= 1, columns k >= 1.
 
     ``order_label`` is only a tag (e.g. "1/2"); no analytic structure is

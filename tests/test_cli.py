@@ -34,7 +34,8 @@ from gaptri import (
 )
 from gaptri import cli, listing, search
 from gaptri.model import _type_counts
-from gaptri.cli import _k_header, _threshold_text, main
+from gaptri.cli import main
+from gaptri.listing import _k_header, _threshold_text
 
 BFILE_FIXTURE = str(Path(__file__).parent / "data" / "b223168_rows_1_9.txt")
 SEARCH_GOLDEN = Path(__file__).parent / "golden" / "search_default_rows_1_4.tsv"

@@ -306,6 +306,20 @@ class TestClosedFormCensus:
         assert total == 2**2000 - 1
         assert elapsed < 0.5
 
+    @pytest.mark.parametrize(("lo", "hi"), [(2700, 4500), (3000, 3000)])
+    def test_interior_window_census_is_linear_in_big_int_steps(self, lo, hi):
+        # Both window ends inside 1..n: the binomials that enter and leave
+        # the window's sum are carried, not recomputed at every gap.
+        model = parse_model(f"gap<=inf; type=affine(1,1); bcount={lo}..{hi}")
+        started = time.perf_counter()
+        total = type_histogram(model, 6000).total
+        elapsed = time.perf_counter() - started
+        expected, row_entry = 0, comb(6000, lo)
+        for b in range(lo, hi + 1):
+            expected, row_entry = expected + row_entry, row_entry * (6000 - b) // (b + 1)
+        assert total == expected
+        assert elapsed < 0.5
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(model=MODELS, n=st.integers(1, 10))
     def test_histogram_equals_string_oracle(self, model, n):

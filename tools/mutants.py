@@ -138,8 +138,28 @@ MUTANTS = (
     Mutant(
         "Pascal's rule drops the term entering at the window's low end",
         "gaptri/model.py",
-        " + (comb(g - 1, a - 1) if a else 0)",
-        "",
+        "s = 2 * s - out + into",
+        "s = 2 * s - out",
+        (
+            f"{CENSUS}::test_weights_equal_scan",
+            f"{CENSUS}::test_weights_equal_binomial_sums_past_max_n",
+        ),
+    ),
+    Mutant(
+        "the binomial leaving the window is carried with its divisor off by one",
+        "gaptri/model.py",
+        "out * g // (g - b)",
+        "out * g // (g - b + 1)",
+        (
+            f"{CENSUS}::test_weights_equal_scan",
+            f"{CENSUS}::test_weights_equal_binomial_sums_past_max_n",
+        ),
+    ),
+    Mutant(
+        "the binomial entering the window is carried with its divisor off by one",
+        "gaptri/model.py",
+        "into * g // (g - a + 1)",
+        "into * g // (g - a + 2)",
         (
             f"{CENSUS}::test_weights_equal_scan",
             f"{CENSUS}::test_weights_equal_binomial_sums_past_max_n",
@@ -169,8 +189,8 @@ MUTANTS = (
     Mutant(
         "a model spec skips its checks on _replace and _make",
         "gaptri/model.py",
-        "class ModelSpec(_Checked, _ModelSpec):",
-        "class ModelSpec(_ModelSpec):",
+        '_Checked, namedtuple("ModelSpec",',
+        'namedtuple("ModelSpec",',
         (f"{RECORD_CHECKS}::test_replace_refuses", f"{RECORD_CHECKS}::test_make_refuses"),
     ),
     Mutant(
