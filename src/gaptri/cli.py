@@ -130,7 +130,10 @@ def _render(headers: list[str], rows: list[list[str]], fmt: str) -> str:
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     from . import listing  # compiled only by the command that lists
 
-    return listing.blocks(args), 0
+    spec = model.parse_model(args.model) if args.model else None
+    if args.valid_only and spec is None:
+        raise ValueError("--valid-only requires --model")
+    return listing.blocks(args.n, spec, args.valid_only, args.format), 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> tuple[list[str], int]:

@@ -7,7 +7,6 @@ enumerate`` imports this module; no other command compiles it.
 
 from __future__ import annotations
 
-import argparse
 from typing import Iterator
 
 from .cli import _line, _widths
@@ -16,7 +15,6 @@ from .model import (
     Unbounded,
     _bit_count_window,
     _valid_weights,
-    parse_model,
     type_for_gap,
 )
 from .sequences import _SYMBOLS, check_enumerable
@@ -40,12 +38,9 @@ def _k_header(spec: ModelSpec, n: int) -> str:
     return f"k={a}*gap{b:+d}"
 
 
-def blocks(args: argparse.Namespace) -> Iterator[str]:
-    # Everything that can fail is checked here, before the first row is made.
-    model = parse_model(args.model) if args.model else None
-    if args.valid_only and model is None:
-        raise ValueError("--valid-only requires --model")
-    n, fmt = args.n, args.format
+def blocks(n: int, model: ModelSpec | None, valid_only: bool, fmt: str) -> Iterator[str]:
+    # Everything that can fail is checked here, before the first row is made;
+    # a valid-only listing needs a model.
     check_enumerable(n)
     headers = ["sequence", "has_B"]
     show_bcount = model is not None and model.b_count is not None
@@ -58,7 +53,7 @@ def blocks(args: argparse.Namespace) -> Iterator[str]:
         lo, hi = model.b_count or (1, n)
     # The listed rows have gap <= keep_gap and keep_lo..keep_hi B's; the full
     # listing's window admits every row.
-    keep_gap, keep_lo, keep_hi = (limit, lo, hi) if args.valid_only else (n - 1, 0, n)
+    keep_gap, keep_lo, keep_hi = (limit, lo, hi) if valid_only else (n - 1, 0, n)
 
     def cells(high: int, low: int, count: int) -> list[str]:
         # The cells after the sequence depend only on the bit lengths of the
@@ -82,25 +77,25 @@ def blocks(args: argparse.Namespace) -> Iterator[str]:
     # Column widths before any row: a row's cells have the widths of the
     # row with the same gap and B-count whose last B is at position n, so one
     # such row per (gap, B-count) pair that the listing contains suffices.
-    samples = [] if args.valid_only else [(0, 0, 0)]
+    samples = [] if valid_only else [(0, 0, 0)]
     for gap in range(n):
         for b in range(2 if gap else 1, gap + 2):
             if gap <= keep_gap and keep_lo <= b <= keep_hi:
                 samples.append((gap + 1, 1, b))
     widths = _widths(headers, (["R" * n] + cells(*sample) for sample in samples))
     # No line is longer than its padded cells, separators and newline.
-    line_bytes = sum(widths) + 2 * (len(widths) - 1) + 1
-    rows = sum(_valid_weights(model.gap_threshold, model.b_count, n)) if args.valid_only else 1 << n
+    line_bytes = len(_line(["x" * w for w in widths], widths, "table"))
+    rows = sum(_valid_weights(model.gap_threshold, model.b_count, n)) if valid_only else 1 << n
     if (rows + 1) * line_bytes > _LISTING_BYTES:
         raise ValueError(
             f"{rows} rows could exceed {_LISTING_BYTES} bytes; list fewer with --valid-only"
         )
-    lead = "\t" if fmt == "tsv" else " " * (widths[0] - n) + "  "
     # Most low bits a block may span: 2**most lines fit in one write.
     most = max(_CHUNK_BYTES // line_bytes, 1).bit_length() - 1
 
     def tail(high: int, low: int, count: int) -> str:
-        return lead + _line(cells(high, low, count), widths[1:], fmt)
+        # The line after its sequence: an empty first cell pads the sequence.
+        return _line(["", *cells(high, low, count)], [widths[0] - n, *widths[1:]], fmt)
 
     def made() -> Iterator[str]:
         # A block is the rows top | (mh << bits | ml) << shift of one mh: their head
@@ -110,7 +105,7 @@ def blocks(args: argparse.Namespace) -> Iterator[str]:
         # window and holds its first row. Each block is written as it is
         # made; stdout's own buffer batches the small ones.
         yield _line(headers, widths, fmt)
-        if not args.valid_only:
+        if not valid_only:
             yield "R" * n + tail(0, 0, 0)
         for h in range(n):
             top = 1 << h

@@ -164,9 +164,7 @@ def type_of(model: ModelSpec, seq: BinarySequence) -> int:
     """Type index of a valid sequence; raises InvalidSequenceError otherwise."""
     if not is_valid(model, seq):
         raise InvalidSequenceError(f"{seq} is not valid under {format_model(model)}")
-    stats = gap_statistics(seq)
-    assert stats is not None
-    return type_for_gap(model, seq.n, stats.gap)
+    return type_for_gap(model, seq.n, gap_statistics(seq).gap)
 
 
 def valid_set(model: ModelSpec, n: int) -> list[BinarySequence]:

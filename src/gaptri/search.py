@@ -3,8 +3,9 @@
 The family is a fixed Cartesian product rather than an open-ended DSL so that
 a negative outcome is a certificate: "no member matches" quantifies over a
 known candidate set. ``rank_search`` takes the candidates one group at a
-time, the type maps under one threshold and B-count option. A group shares
-one census, read once per row; a row whose sum differs from the census total
+time, the type maps under one threshold and B-count option. Each requested
+row is read and summed once per search, before any census; a group reads its
+census once per row, and a row whose sum differs from the census total
 matches no member and is skipped, and a row that passes is checked once per
 distinct type pair against that census. The candidates that match the same
 rows, in any group, share one matched-row set and record end. It ranks by
@@ -96,20 +97,18 @@ def evaluate_candidate(
 
 def _group_matches(
     pair_columns: tuple[list[tuple[int, int]], list[tuple[int, int]]],
-    triangle: CoefficientTriangle,
-    rows: tuple[int, ...],
+    rows: list[tuple[int, int, tuple[int, ...]]],
     group: tuple[Threshold, tuple[int, int] | None],
 ) -> list[tuple[int, ...]]:
     """One group's matches, in type-map order: the rows each type map
-    matches, its even rows and then its odd rows. Each row's census is read
-    once; only rows whose sum equals its total are checked, once per distinct
-    type pair; ``rows`` holds no row twice. ``pair_columns`` holds each type
-    map's pair for even and then odd n."""
+    matches, its even rows and then its odd rows. ``rows`` holds each row
+    once, as (n, sum, entries). Each row's census is read once; only rows
+    whose sum equals its total are checked, once per distinct type pair.
+    ``pair_columns`` holds each type map's pair for even and then odd n."""
     threshold, b_count = group
     _check_window(b_count)
-    # The row first: an absent row is refused before any census work.
-    reads = ((n, triangle.row(n), list(_valid_weights(threshold, b_count, n))) for n in rows)
-    live = [(n, w, dict(enumerate(row, start=1))) for n, row, w in reads if sum(row) == sum(w)]
+    reads = ((n, total, row, list(_valid_weights(threshold, b_count, n))) for n, total, row in rows)
+    live = [(n, w, dict(enumerate(row, start=1))) for n, total, row, w in reads if sum(w) == total]
     hits = []
     for parity, pairs in enumerate(pair_columns):
         checks = [check for check in live if check[0] % 2 == parity]
@@ -141,11 +140,13 @@ def rank_search(
     with every candidate that matches the same rows. Also returns a function
     giving the ``SearchResult`` at a rank (from 0)."""
     type_maps = family.type_maps
-    # With no type map there is no candidate, and no row is read.
+    # No type map, no candidate and no row read; otherwise each requested row is
+    # read and summed once, before any census, so an absent row is refused first.
     groups = list(product(family.thresholds, family.b_count_options)) if type_maps else []
+    requested = dict.fromkeys(rows) if type_maps else ()  # a repeated row counts once
+    read = [(n, sum(row), row) for n in requested for row in [triangle.row(n)]]
     pair_columns = ([m.even for m in type_maps], [m.odd for m in type_maps])
-    rows = tuple(dict.fromkeys(rows))  # a repeated row counts once
-    matches = [m for group in groups for m in _group_matches(pair_columns, triangle, rows, group)]
+    matches = [m for group in groups for m in _group_matches(pair_columns, read, group)]
     # One row set and record end per distinct row tuple.
     shared = {key: (frozenset(key), _record_end(len(key), key) + "\n") for key in set(matches)}
     texts: list[str] = []

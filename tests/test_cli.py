@@ -236,6 +236,21 @@ class TestEnumerate:
         assert code == 2
         assert "--valid-only" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["-n", "3", "--valid-only"], "--valid-only requires --model"),
+            (["-n", "31", "--valid-only"], "--valid-only requires --model"),
+            (["-n", "31", "--valid-only", "--model", "bogus"], "cannot parse model text 'bogus'"),
+        ],
+        ids=["short", "too-long", "bad-model"],
+    )
+    def test_valid_only_refusal_order(self, capsys, argv, message):
+        # The model text is parsed first, then --valid-only's need for a
+        # model is checked, and only then the length.
+        code, out, err = run_cli(capsys, "enumerate", *argv)
+        assert (code, out, err) == (2, "", f"gaptri: error: {message}\n")
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_streamed_listing_equals_buffered_oracle(self, capsys, monkeypatch, n):
         # One parser for the whole grid: building it dominates small listings.

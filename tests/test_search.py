@@ -12,6 +12,7 @@ from gaptri.model import _type_counts, _valid_weights
 from gaptri.search import rank_search
 from gaptri import (
     Affine,
+    CoefficientTriangle,
     Constant,
     EvenOddAffine,
     HalfFloor,
@@ -146,7 +147,7 @@ class TestRunSearch:
 
     def test_bad_window_is_refused(self):
         # The search builds no model per candidate, but still checks each
-        # group's B-count window before reading a row.
+        # group's B-count window before reading its census.
         family = default_family()._replace(b_count_options=(None, (0, 2)))
         with pytest.raises(ValueError, match="b-count bounds need 1 <= min <= max"):
             rank_search(family, embedded_half_triangle(), range(1, 4))
@@ -154,6 +155,29 @@ class TestRunSearch:
     def test_no_type_maps_reads_no_row(self):
         family = default_family()._replace(type_maps=())
         assert run_search(family, embedded_half_triangle(), range(1, 12)) == []
+
+    def test_each_requested_row_is_read_once(self, monkeypatch):
+        # Not once per (threshold, B-count) group: 24 groups here.
+        reads = []
+        row = CoefficientTriangle.row
+
+        def counted(triangle, n):
+            reads.append(n)
+            return row(triangle, n)
+
+        monkeypatch.setattr(CoefficientTriangle, "row", counted)
+        rank_search(default_family(), embedded_half_triangle(), [3, 1, 3, 2])
+        assert reads == [3, 1, 2]
+
+    def test_absent_row_is_refused_before_any_census(self, monkeypatch):
+        from gaptri import MissingRowError
+
+        calls = []
+        monkeypatch.setattr(gaptri.search, "_valid_weights", lambda *args: calls.append(args))
+        with pytest.raises(MissingRowError) as caught:
+            rank_search(default_family(), embedded_half_triangle(), [1, 10])
+        assert caught.value.row == 10
+        assert calls == []
 
     def test_missing_row_crosses_the_pool_intact(self):
         from gaptri import MissingRowError

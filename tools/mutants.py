@@ -69,8 +69,8 @@ MUTANTS = (
     Mutant(
         "a repeated row is not dropped",
         "gaptri/search.py",
-        "tuple(dict.fromkeys(rows))",
-        "tuple(rows)",
+        "dict.fromkeys(rows) if type_maps",
+        "rows if type_maps",
         (EQUALS_ONE_AT_A_TIME,),
     ),
     Mutant(
@@ -222,6 +222,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a listing row's cells start one column late",
+        "gaptri/listing.py",
+        "[widths[0] - n, *widths[1:]]",
+        "[widths[0] - n + 1, *widths[1:]]",
+        (
+            f"{ENUMERATE}::test_n2_golden_table",
+            "tests/test_cli.py::TestByteContract::test_digest[enumerate-17]",
+        ),
+    ),
+    Mutant(
+        "enumerate lists valid rows without a model",
+        "gaptri/cli.py",
+        "    if args.valid_only and spec is None:\n"
+        '        raise ValueError("--valid-only requires --model")\n',
+        "",
+        (f"{ENUMERATE}::test_valid_only_refusal_order",),
+    ),
+    Mutant(
         "the package executes the search layer on import",
         "gaptri/__init__.py",
         'search = _lazy_layer("search")',
@@ -275,7 +293,7 @@ MUTANTS = (
     Mutant(
         "every row is checked, whatever its sum",
         "gaptri/search.py",
-        "if sum(row) == sum(w)]",
+        "if sum(w) == total]",
         "if True]",
         PAIR_CHECK_COUNTS,
     ),
