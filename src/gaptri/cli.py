@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from typing import Callable, Iterable, Iterator
 
@@ -197,16 +198,24 @@ def _cmd_ingest(args: argparse.Namespace) -> tuple[list[str], int]:
 
 
 def _write_out(path: str | None, lines: Iterable[str]) -> None:
-    # Write beside the target, then rename over it: the target holds either
-    # its old bytes or the whole new report, never a partial one. The lines
-    # are written one by one, never joined into one string.
+    # Write beside the file the path resolves to, then rename over that file:
+    # it holds either its old bytes or the whole new report, never a partial
+    # one, and a symlink to it stays a link. A FIFO or a character device is
+    # written into, since replacing it would cut off its reader. The lines are
+    # written one by one, never joined into one string.
     if path is None:
         return
     import tempfile  # loaded only by a command that writes a file
 
-    folder, name = os.path.split(path)
+    real = os.path.realpath(path) if path else path  # "" names no file: refused below
+    folder, name = os.path.split(real)
     tmp = None
     try:
+        mode = os.stat(real).st_mode if os.path.exists(real) else 0
+        if stat.S_ISFIFO(mode) or stat.S_ISCHR(mode):
+            with open(real, "w", encoding="utf-8") as handle:
+                handle.writelines(lines)
+            return
         fd, tmp = tempfile.mkstemp(dir=folder or os.curdir, prefix=f".{name}.", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
@@ -214,13 +223,13 @@ def _write_out(path: str | None, lines: Iterable[str]) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException as exc:
         if tmp is not None and os.path.lexists(tmp):
             os.remove(tmp)
         if isinstance(exc, OSError) and exc.errno is not None:
-            # Name the path given, not the temporary file beside it, whose
-            # name changes from run to run.
+            # Name the path given, not the file it resolves to or the
+            # temporary file beside it, whose name changes from run to run.
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 

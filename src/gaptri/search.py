@@ -4,17 +4,17 @@ The family is a fixed Cartesian product rather than an open-ended DSL so that
 a negative outcome is a certificate: "no member matches" quantifies over a
 known candidate set. ``rank_search`` takes the candidates one group at a
 time, the type maps under one threshold and B-count option. Each requested
-row is read and summed once per search, before any census; a group reads its
-census once per row, and a row whose sum differs from the census total
-matches no member and is skipped, and a row that passes is checked once per
-distinct type pair against that census. The candidates that match the same
-rows, in any group, share one matched-row set and record end. It ranks by
-score descending, then serialized model text ascending, and returns every
-candidate's record line, each text built once from its group's spelling and
-its type map's name; the CLI writes those lines as they are, takes its table
-cells from them, and builds a ``SearchResult`` only for a printed row's
-witness. ``run_search`` builds one for every candidate from the same
-ranking. ``evaluate_candidate`` checks one candidate alone, through
+row is read and summed once per search, before any census. A group takes the
+rows one at a time and holds one census, the current row's: a row whose sum
+differs from its total matches no member and is skipped, and a row that
+passes is checked once per distinct type pair of its parity. The candidates
+that match the same rows, in any group, share one matched-row set and record
+end. It ranks by score descending, then serialized model text ascending, and
+returns every candidate's record line, each text built once from its group's
+spelling and its type map's name; the CLI writes those lines as they are,
+takes its table cells from them, and builds a ``SearchResult`` only for a
+printed row's witness. ``run_search`` builds one for every candidate from the
+same ranking. ``evaluate_candidate`` checks one candidate alone, through
 ``verify_row``.
 """
 
@@ -96,29 +96,29 @@ def evaluate_candidate(
 
 
 def _group_matches(
-    pair_columns: tuple[list[tuple[int, int]], list[tuple[int, int]]],
+    type_maps: Sequence[TypeMap],
+    pairs: tuple[Iterable[tuple[int, int]], Iterable[tuple[int, int]]],
     rows: list[tuple[int, int, tuple[int, ...]]],
     group: tuple[Threshold, tuple[int, int] | None],
 ) -> list[tuple[int, ...]]:
     """One group's matches, in type-map order: the rows each type map
     matches, its even rows and then its odd rows. ``rows`` holds each row
-    once, as (n, sum, entries). Each row's census is read once; only rows
-    whose sum equals its total are checked, once per distinct type pair.
-    ``pair_columns`` holds each type map's pair for even and then odd n."""
+    once, as (n, sum, entries), and is taken one row at a time: its census is
+    read once, and only a row whose sum equals the census total is checked,
+    once per distinct type pair of its parity. ``pairs`` holds the distinct
+    pairs for even and then odd n."""
     threshold, b_count = group
     _check_window(b_count)
-    reads = ((n, total, row, list(_valid_weights(threshold, b_count, n))) for n, total, row in rows)
-    live = [(n, w, dict(enumerate(row, start=1))) for n, total, row, w in reads if sum(w) == total]
-    hits = []
-    for parity, pairs in enumerate(pair_columns):
-        checks = [check for check in live if check[0] % 2 == parity]
-        # For each distinct pair, the rows of this parity it matches.
-        found = {
-            pair: tuple(n for n, weights, target in checks if _type_counts(weights, pair) == target)
-            for pair in dict.fromkeys(pairs)
-        }
-        hits.append(map(found.__getitem__, pairs))
-    return [even + odd for even, odd in zip(*hits)]
+    found: tuple[dict, dict] = ({}, {})  # per parity: pair -> the rows it matches
+    for n, total, row in rows:
+        weights = list(_valid_weights(threshold, b_count, n))
+        if sum(weights) == total:
+            target, hits = dict(enumerate(row, start=1)), found[n % 2]
+            for pair in pairs[n % 2]:
+                if _type_counts(weights, pair) == target:
+                    hits[pair] = hits.get(pair, ()) + (n,)
+    even, odd = found
+    return [even.get(m.even, ()) + odd.get(m.odd, ()) for m in type_maps]
 
 
 def _record_end(score: int, rows: Iterable[int]) -> str:
@@ -145,8 +145,8 @@ def rank_search(
     groups = list(product(family.thresholds, family.b_count_options)) if type_maps else []
     requested = dict.fromkeys(rows) if type_maps else ()  # a repeated row counts once
     read = [(n, sum(row), row) for n in requested for row in [triangle.row(n)]]
-    pair_columns = ([m.even for m in type_maps], [m.odd for m in type_maps])
-    matches = [m for group in groups for m in _group_matches(pair_columns, read, group)]
+    pairs = (dict.fromkeys(m.even for m in type_maps), dict.fromkeys(m.odd for m in type_maps))
+    matches = [m for group in groups for m in _group_matches(type_maps, pairs, read, group)]
     # One row set and record end per distinct row tuple.
     shared = {key: (frozenset(key), _record_end(len(key), key) + "\n") for key in set(matches)}
     texts: list[str] = []

@@ -727,6 +727,13 @@ class TestTriangleSource:
         assert run_cli(capsys, "ingest") == (0, format_triangle(embedded_half_triangle()), "")
 
 
+VERIFY_RECORDS_1_3 = (
+    "row=1 match=true predicted=1:1 target=1\n"
+    "row=2 match=true predicted=1:1,2:2 target=1,2\n"
+    "row=3 match=true predicted=1:3,2:2 target=3,2\n"
+)
+
+
 class TestOutFile:
     def test_search_out_matches_golden(self, capsys, tmp_path):
         out_path = tmp_path / "search.tsv"
@@ -795,6 +802,33 @@ class TestOutFile:
         assert caught.value is interrupt
         assert out_path.read_bytes() == b"old report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_symlink_is_written_through(self, capsys, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_bytes(b"old report\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target.name)
+        code, _, _ = run_cli(capsys, "verify", "--rows", "1..3", "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == VERIFY_RECORDS_1_3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+    def test_fifo_is_written_into(self, capsys, tmp_path):
+        # The read end is opened first and never blocks, so neither the
+        # command's open nor this read can wait on the other.
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run_cli(capsys, "verify", "--rows", "1..3", "--out", str(pipe))
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert received.decode("utf-8") == VERIFY_RECORDS_1_3
+        assert stat.S_ISFIFO(pipe.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 class TestOutWrites:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -178,6 +179,25 @@ class TestRunSearch:
             rank_search(default_family(), embedded_half_triangle(), [1, 10])
         assert caught.value.row == 10
         assert calls == []
+
+    def test_holds_one_census_at_a_time(self):
+        # Rows 1..400 of the triangle planted by gap<=inf; type=affine(1,1);
+        # bcount=*, where every row is live in some group. A group that kept
+        # each live row's census and entry map at once would hold about twice
+        # the triangle; one row at a time, the search stays below it.
+        family, rows = default_family(), range(1, 401)
+        tracemalloc.start()
+        try:
+            planted = tuple((n, *((n - g) << (g - 1) for g in range(1, n))) for n in rows)
+            triangle = CoefficientTriangle("planted", planted)
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lines, _ = rank_search(family, triangle, rows)
+            peak = tracemalloc.get_traced_memory()[1] - size
+        finally:
+            tracemalloc.stop()
+        assert peak < size
+        assert lines[0].split("\t")[:2] == ["gap<=inf; type=affine(1,1); bcount=*", "400"]
 
     def test_missing_row_crosses_the_pool_intact(self):
         from gaptri import MissingRowError

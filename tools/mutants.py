@@ -76,8 +76,8 @@ MUTANTS = (
     Mutant(
         "the record end lists the even rows only",
         "gaptri/search.py",
-        "return [even + odd for even, odd in zip(*hits)]",
-        "return [even for even, odd in zip(*hits)]",
+        "even.get(m.even, ()) + odd.get(m.odd, ())",
+        "even.get(m.even, ())",
         (GOLDEN, "tests/test_acceptance.py::test_08_search_certificate"),
     ),
     Mutant(
@@ -293,8 +293,8 @@ MUTANTS = (
     Mutant(
         "every row is checked, whatever its sum",
         "gaptri/search.py",
-        "if sum(w) == total]",
-        "if True]",
+        "if sum(weights) == total:",
+        "if True:",
         PAIR_CHECK_COUNTS,
     ),
     Mutant(
@@ -358,6 +358,23 @@ MUTANTS = (
             "tests/test_cli.py::TestByteContract::test_digest[search-table-9]",
             "tests/test_cli.py::TestSearch::test_out_formats_only_the_printed_models",
         ),
+    ),
+    Mutant(
+        "--out replaces a link",
+        "gaptri/cli.py",
+        "os.path.realpath(path) if path else path",
+        "path",
+        ("tests/test_cli.py::TestOutFile::test_symlink_is_written_through",),
+    ),
+    Mutant(
+        "--out replaces a pipe",
+        "gaptri/cli.py",
+        "        if stat.S_ISFIFO(mode) or stat.S_ISCHR(mode):\n"
+        '            with open(real, "w", encoding="utf-8") as handle:\n'
+        "                handle.writelines(lines)\n"
+        "            return\n",
+        "",
+        ("tests/test_cli.py::TestOutFile::test_fifo_is_written_into",),
     ),
     Mutant(
         "a line's tokens are split on any whitespace",
