@@ -2,35 +2,39 @@
 
 
 class GaptriError(Exception):
-    """Base class for every error this package raises on purpose."""
+    """Base class for every error this package raises on purpose. ``args``
+    are the constructor's arguments. A class naming ``fields`` takes exactly
+    those, keeps each as an attribute, and reads as its ``text`` filled from
+    them; the others read as ``Exception`` does."""
 
-    def __reduce__(self):
-        # Rebuild from ``args`` without __init__, whose parameters differ, so
-        # a pickled error keeps its type, text and fields.
-        import copyreg
+    fields: tuple[str, ...] | None = None
 
-        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+    def __init__(self, *args: object) -> None:
+        if self.fields is not None:
+            if len(args) != len(self.fields):
+                raise TypeError(f"{type(self).__name__} takes ({', '.join(self.fields)})")
+            vars(self).update(zip(self.fields, args))
+        super().__init__(*args)
+
+    def __str__(self) -> str:
+        return super().__str__() if self.fields is None else self.text.format(*self.args)
 
 
 class EmptySequenceError(GaptriError):
-    def __init__(self) -> None:
-        super().__init__("sequence text is empty")
+    fields = ()
+    text = "sequence text is empty"
 
 
 class InvalidSymbolError(GaptriError):
     """Character outside the {R, B} alphabet; position is 1-based."""
 
-    def __init__(self, position: int, found: str) -> None:
-        super().__init__(f"invalid symbol {found!r} at position {position}")
-        self.position = position
-        self.found = found
+    fields = ("position", "found")
+    text = "invalid symbol {1!r} at position {0}"
 
 
 class InvalidLengthError(GaptriError):
-    def __init__(self, n: int, max_n: int) -> None:
-        super().__init__(f"length {n} outside the enumerable range 1..{max_n}")
-        self.n = n
-        self.max_n = max_n
+    fields = ("n", "max_n")
+    text = "length {0} outside the enumerable range 1..{1}"
 
 
 class InvalidSequenceError(GaptriError):
@@ -44,31 +48,25 @@ class ModelParseError(GaptriError):
 class TriangleParseError(GaptriError):
     """Malformed line in a triangle file or b-file; line numbers are 1-based."""
 
-    def __init__(self, line: int, message: str) -> None:
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    fields = ("line", "message")
+    text = "line {0}: {1}"
 
 
 class IndexGapError(GaptriError):
-    def __init__(self, expected: int, found: int) -> None:
-        super().__init__(f"b-file index jumped: expected {expected}, found {found}")
-        self.expected = expected
-        self.found = found
+    fields = ("expected", "found")
+    text = "b-file index jumped: expected {0}, found {1}"
 
 
 class TruncatedRowError(GaptriError):
-    def __init__(self, row: int) -> None:
-        super().__init__(f"terms ran out inside row {row}")
-        self.row = row
+    fields = ("row",)
+    text = "terms ran out inside row {0}"
 
 
 class MissingRowError(GaptriError):
-    def __init__(self, row: int) -> None:
-        super().__init__(f"triangle has no row {row}")
-        self.row = row
+    fields = ("row",)
+    text = "triangle has no row {0}"
 
 
 class NotAFailureError(GaptriError):
-    def __init__(self, row: int) -> None:
-        super().__init__(f"row {row} matches; there is no failure to explain")
-        self.row = row
+    fields = ("row",)
+    text = "row {0} matches; there is no failure to explain"

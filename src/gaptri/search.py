@@ -52,8 +52,10 @@ class SearchFamily(NamedTuple):
     b_count_options: tuple[tuple[int, int] | None, ...]
 
     def candidates(self) -> Iterator[ModelSpec]:
-        for parts in product(self.thresholds, self.type_maps, self.b_count_options):
-            yield ModelSpec(*parts)
+        """Every candidate, in the order the search evaluates and ties them."""
+        for threshold, b_count in product(self.thresholds, self.b_count_options):
+            for type_map in self.type_maps:
+                yield ModelSpec(threshold, type_map, b_count)
 
 
 class SearchResult(NamedTuple):
@@ -133,12 +135,11 @@ def rank_search(
     rows: Iterable[int],
 ) -> tuple[list[str], Callable[[int], SearchResult]]:
     """Evaluate every candidate and rank by score descending, then by
-    serialized model text ascending; ties keep evaluation order, the groups
-    as (threshold, B-count option) pairs in product order and the type maps
-    in family order within each. Returns each ranked candidate's record line,
-    ``result_record(r) + "\\n"``: its model text and the record end it shares
-    with every candidate that matches the same rows. Also returns a function
-    giving the ``SearchResult`` at a rank (from 0)."""
+    serialized model text ascending; ties keep ``family.candidates()`` order.
+    Returns each ranked candidate's record line, ``result_record(r) + "\\n"``:
+    its model text and the record end it shares with every candidate that
+    matches the same rows. Also returns a function giving the
+    ``SearchResult`` at a rank (from 0)."""
     type_maps = family.type_maps
     # No type map, no candidate and no row read; otherwise each requested row is
     # read and summed once, before any census, so an absent row is refused first.

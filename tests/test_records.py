@@ -147,9 +147,45 @@ def test_every_error_type_is_covered():
 
 @pytest.mark.parametrize("error", ERRORS, ids=lambda e: type(e).__name__)
 def test_error_pickle_round_trip(error):
-    # Errors raised in a worker process reach the caller through a pickle.
+    # A pickled error is rebuilt by calling its class with its args.
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is type(error)
     assert str(copy) == str(error)
     assert copy.args == error.args
     assert vars(copy) == vars(error)
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda e: type(e).__name__)
+def test_error_is_rebuilt_from_its_args(error):
+    copy = type(error)(*error.args)
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert copy.args == error.args
+    assert vars(copy) == vars(error)
+
+
+def test_error_repr_is_its_call():
+    assert repr(gaptri.errors.MissingRowError(10)) == "MissingRowError(10)"
+    assert repr(gaptri.errors.InvalidSymbolError(3, "x")) == "InvalidSymbolError(3, 'x')"
+
+
+MESSAGE_ONLY = (
+    gaptri.errors.GaptriError,
+    gaptri.errors.InvalidSequenceError,
+    gaptri.errors.ModelParseError,
+)
+
+
+@pytest.mark.parametrize(
+    "error", [e for e in ERRORS if type(e) not in MESSAGE_ONLY], ids=lambda e: type(e).__name__
+)
+def test_error_with_fields_refuses_a_wrong_argument_count(error):
+    with pytest.raises(TypeError):
+        type(error)(*error.args, 0)
+    if error.args:
+        with pytest.raises(TypeError):
+            type(error)(*error.args[:-1])
+
+
+def test_base_error_text_is_empty():
+    assert str(gaptri.errors.GaptriError()) == ""

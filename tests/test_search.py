@@ -314,6 +314,20 @@ class TestRanking:
         assert run_search(family, triangle, rows) == expected
         assert lines == [result_record(r) + "\n" for r in expected]
 
+    def test_candidates_come_in_search_order(self):
+        # A repeated B-count option: the search takes the type maps inside
+        # each (threshold, B-count option) group, so equal texts from a raw
+        # type map and Affine(1, 1) alternate, and candidates() must agree.
+        raw = TypeMap((1, 0), (1, 1), "affine(1,1)")
+        family = SearchFamily((Constant(1),), (raw, Affine(1, 1)), (None, None))
+        triangle, rows = embedded_half_triangle(), range(1, 10)
+        expected = sorted(
+            (evaluate_candidate(m, triangle, rows) for m in family.candidates()),
+            key=lambda r: (-r.score, format_model(r.model)),
+        )
+        assert [r.model.type_map for r in expected] == [raw, Affine(1, 1)] * 2
+        assert run_search(family, triangle, rows) == expected
+
 
 class TestWitness:
     def test_row4_type_count_deficit(self):

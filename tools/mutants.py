@@ -439,6 +439,40 @@ MUTANTS = (
         'open(args.bfile, encoding="utf-8")',
         (f"{LEADING_MARK}[bfile]",),
     ),
+    Mutant(
+        "an error keeps no fields",
+        "gaptri/errors.py",
+        "            vars(self).update(zip(self.fields, args))\n",
+        "",
+        (
+            "tests/test_search.py::TestRunSearch::test_missing_row_crosses_the_pool_intact",
+            "tests/test_sequences.py::TestParse::test_invalid_symbol_position",
+        ),
+    ),
+    Mutant(
+        "an error's text ignores its fields",
+        "gaptri/errors.py",
+        "self.text.format(*self.args)",
+        "self.text",
+        ("tests/test_cli.py::TestUsage::test_rows_past_the_triangle_are_refused_at_once",),
+    ),
+    Mutant(
+        "an error takes any number of arguments",
+        "gaptri/errors.py",
+        "if len(args) != len(self.fields):",
+        "if False:",
+        ("tests/test_records.py::test_error_with_fields_refuses_a_wrong_argument_count",),
+    ),
+    Mutant(
+        "candidates walk the type maps before the B-count options",
+        "gaptri/search.py",
+        "        for threshold, b_count in product(self.thresholds, self.b_count_options):\n"
+        "            for type_map in self.type_maps:\n"
+        "                yield ModelSpec(threshold, type_map, b_count)\n",
+        "        for parts in product(self.thresholds, self.type_maps, self.b_count_options):\n"
+        "            yield ModelSpec(*parts)\n",
+        ("tests/test_search.py::TestRanking::test_candidates_come_in_search_order",),
+    ),
 )
 
 
