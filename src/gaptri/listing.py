@@ -14,6 +14,7 @@ from .model import (
     ModelSpec,
     Unbounded,
     _bit_count_window,
+    _bounds,
     _valid_weights,
     type_for_gap,
 )
@@ -49,8 +50,7 @@ def blocks(n: int, model: ModelSpec | None, valid_only: bool, fmt: str) -> Itera
     headers += ["first_B", "last_B", "gap"]
     if model is not None:
         headers += [f"gap<={_threshold_text(model, n)}?", _k_header(model, n), "valid?"]
-        limit = model.gap_threshold.limit(n)
-        lo, hi = model.b_count or (1, n)
+        limit, lo, hi = _bounds(model.gap_threshold, model.b_count, n)
     # The listed rows have gap <= keep_gap and keep_lo..keep_hi B's; the full
     # listing's window admits every row.
     keep_gap, keep_lo, keep_hi = (limit, lo, hi) if valid_only else (n - 1, 0, n)

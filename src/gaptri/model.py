@@ -148,16 +148,18 @@ def type_for_gap(model: ModelSpec, n: int, gap: int) -> int:
     return a * gap + b
 
 
+def _bounds(threshold: Threshold, b_count: tuple[int, int] | None, n: int) -> tuple[int, int, int]:
+    # Length n's validity rule: gap <= limit (at most n - 1) and lo..hi B's.
+    lo, hi = b_count or (1, n)
+    return min(threshold.limit(n), n - 1), lo, hi
+
+
 def is_valid(model: ModelSpec, seq: BinarySequence) -> bool:
     """True iff seq has >= 1 B, its gap is within the resolved threshold, and
     its B-count satisfies the model's bound (when one is set)."""
     stats = gap_statistics(seq)
-    lo, hi = model.b_count or (1, seq.n)
-    return (
-        stats is not None
-        and stats.gap <= model.gap_threshold.limit(seq.n)
-        and lo <= seq.b_count <= hi
-    )
+    limit, lo, hi = _bounds(model.gap_threshold, model.b_count, seq.n)
+    return stats is not None and stats.gap <= limit and lo <= seq.b_count <= hi
 
 
 def type_of(model: ModelSpec, seq: BinarySequence) -> int:
@@ -175,10 +177,9 @@ def valid_set(model: ModelSpec, n: int) -> list[BinarySequence]:
     runs of inner bits outside the B-count window are stepped over whole.
     """
     check_enumerable(n)
-    limit = model.gap_threshold.limit(n)
+    limit, lo, hi = _bounds(model.gap_threshold, model.b_count, n)
     if limit < 0:
         return []
-    lo, hi = model.b_count or (1, n)
     return [
         BinarySequence(n, 1 << h | m << max(h - limit, 0))
         for h in range(n)
@@ -187,9 +188,13 @@ def valid_set(model: ModelSpec, n: int) -> list[BinarySequence]:
 
 
 def _bit_count_window(bits: int, lo: int, hi: int) -> Iterator[int]:
-    # The m < 2**bits with lo <= m.bit_count() <= hi, ascending; runs of m
-    # outside the window are stepped over whole. Needs hi >= 0.
-    m, end = 0, 1 << bits
+    # The m < 2**bits with lo <= m.bit_count() <= hi, ascending: every m when
+    # the window holds 0..bits, none when hi < 0. Otherwise runs of m outside
+    # the window are stepped over whole.
+    if lo <= 0 and hi >= bits:
+        yield from range(1 << bits)
+        return
+    m, end = 0, 1 << bits if hi >= 0 else 0
     while m < end:
         count = m.bit_count()
         if count > hi:
@@ -211,14 +216,13 @@ def _valid_weights(threshold: Threshold, b_count: tuple[int, int] | None, n: int
     # adding into = C(g - 1, a - 1); both are carried too, by
     # C(m + 1, j) = C(m, j) * (m + 1) // (m + 1 - j) from C(j, j) = 1 (0 below
     # that), so every gap costs a few big-int steps whatever the window.
-    stop = min(threshold.limit(n) + 1, n)
-    if stop < 1:
+    limit, lo, hi = _bounds(threshold, b_count, n)
+    if limit < 0:
         return
-    lo, hi = b_count or (1, n)
     a, b = max(lo - 2, 0), hi - 2
     yield n if lo <= 1 <= hi else 0
     s, out, into = int(a == 0 <= b), int(b == 0), int(a == 1)
-    for g in range(1, stop):
+    for g in range(1, limit + 1):
         yield (n - g) * s
         if b >= 0:
             s = 2 * s - out + into

@@ -106,15 +106,20 @@ def _group_matches(
     """One group's matches, in type-map order: the rows each type map
     matches, its even rows and then its odd rows. ``rows`` holds each row
     once, as (n, sum, entries), and is taken one row at a time: its census is
-    read once, and only a row whose sum equals the census total is checked,
-    once per distinct type pair of its parity. ``pairs`` holds the distinct
-    pairs for even and then odd n."""
+    read once, and no further than the row's sum, and only a row whose sum
+    equals the census total is checked, once per distinct type pair of its
+    parity. ``pairs`` holds the distinct pairs for even and then odd n."""
     threshold, b_count = group
     _check_window(b_count)
     found: tuple[dict, dict] = ({}, {})  # per parity: pair -> the rows it matches
     for n, total, row in rows:
-        weights = list(_valid_weights(threshold, b_count, n))
-        if sum(weights) == total:
+        weights, left = [], total
+        for weight in _valid_weights(threshold, b_count, n):
+            weights.append(weight)
+            left -= weight
+            if left < 0:
+                break
+        if left == 0:
             target, hits = dict(enumerate(row, start=1)), found[n % 2]
             for pair in pairs[n % 2]:
                 if _type_counts(weights, pair) == target:

@@ -7,7 +7,9 @@ Each argv is built for one of the six subcommands from grammar pieces: row
 ranges, model texts, triangle and b-file texts, and ``--out`` targets inside
 a temporary directory. Every example runs in process. Error texts are built
 when ``main`` prints them, so a text that cannot be built shows here as an
-escaped exception.
+escaped exception. A second test runs ``search``, ``verify`` and ``obstruct``
+over rows 1..N of a 2,000-row all-ones triangle under the same contract, each
+example within a one-second deadline.
 """
 
 import io
@@ -189,3 +191,34 @@ def test_main_keeps_its_contract(invocation):
             records = 6216 if argv[0] == "search" else len(stdout.splitlines()) - 1
             assert written.endswith("\n"), argv
             assert written.count("\n") == records, argv
+
+
+#: Rows of the all-ones triangle that the long-range fuzz reads.
+ONES = 2000
+# Family members with a constant threshold only: verify prints every predicted
+# count, about 1.7 GB over 2,000 rows under gap<=inf.
+NARROW_MODELS = st.sampled_from(
+    [text for text in FAMILY_TEXTS[::50] if not text.startswith(("gap<=n/2", "gap<=inf"))]
+)
+
+
+def long_range(command):
+    extra = optional("--top", TOPS) if command == "search" else optional("--model", NARROW_MODELS)
+    return st.builds(
+        lambda last, more, out, fmt: (
+            [command, "--triangle", "{dir}/input.txt", "--rows", f"1..{last}", *more, *out, *fmt],
+            "1\n" * ONES,
+        ),
+        st.one_of(st.just(ONES), st.integers(1, ONES)),
+        extra,
+        optional("--out", OUT_TARGETS),
+        FORMATS,
+    )
+
+
+@settings(max_examples=40, deadline=1000, derandomize=True)
+@given(invocation=st.sampled_from(["search", "verify", "obstruct"]).flatmap(long_range))
+def test_long_row_ranges_keep_the_contract_within_a_second(invocation):
+    # The rows 1..N of a long all-ones triangle: each example keeps the
+    # contract above, and hypothesis's deadline bounds its time.
+    test_main_keeps_its_contract.hypothesis.inner_test(invocation)

@@ -383,6 +383,13 @@ class TestBitCountWindow:
         values = listed_within(2, _bit_count_window(40, 39, 40))
         assert values == sorted(full ^ 1 << i for i in range(40)) + [full]
 
+    @pytest.mark.parametrize("bits", range(11))
+    def test_equals_filter_for_every_window(self, bits):
+        for lo in range(-1, bits + 2):
+            for hi in range(-1, bits + 2):
+                expected = [m for m in range(1 << bits) if lo <= m.bit_count() <= hi]
+                assert listed_within(2, _bit_count_window(bits, lo, hi)) == expected, (lo, hi)
+
 
 class TestMaxTypeCount:
     def test_canonical(self):

@@ -50,7 +50,9 @@ EQUALS_ONE_AT_A_TIME = (
 )
 ACCEPTANCE_02 = "tests/test_acceptance.py::test_02_failure_reproduction"
 CENSUS = "tests/test_model.py::TestClosedFormCensus"
+BIT_COUNT_WINDOW = "tests/test_model.py::TestBitCountWindow"
 HISTOGRAM = "tests/test_model.py::TestTypeHistogram"
+PLANTED_PAST_MAX_N = "tests/test_long_rows.py::TestPlantedPastMaxN"
 ENUMERATE = "tests/test_cli.py::TestEnumerate"
 RECORD_CHECKS = "tests/test_records.py::TestRecordChecks"
 SPLITS_ON_ASCII_BLANKS = (
@@ -90,8 +92,8 @@ MUTANTS = (
     Mutant(
         "the census reads one entry past the gap limit",
         "gaptri/model.py",
-        "min(threshold.limit(n) + 1, n)",
-        "min(threshold.limit(n) + 2, n)",
+        "for g in range(1, limit + 1):",
+        "for g in range(1, limit + 2):",
         (
             f"{CENSUS}::test_valid_total_equals_histogram_total",
             f"{HISTOGRAM}::test_negative_limit_counts_only_valid_sequences",
@@ -101,8 +103,8 @@ MUTANTS = (
     Mutant(
         "the census reads one entry short of the gap limit",
         "gaptri/model.py",
-        "min(threshold.limit(n) + 1, n)",
-        "min(threshold.limit(n), n)",
+        "for g in range(1, limit + 1):",
+        "for g in range(1, limit):",
         (
             f"{HISTOGRAM}::test_small_rows",
             f"{HISTOGRAM}::test_negative_limit_counts_only_valid_sequences",
@@ -113,16 +115,30 @@ MUTANTS = (
     Mutant(
         "a gap limit of -1 reads the gap-0 entry",
         "gaptri/model.py",
-        "if stop < 1:",
-        "if stop < 0:",
+        "    if limit < 0:\n        return\n",
+        "    if limit < -1:\n        return\n",
         (f"{HISTOGRAM}::test_negative_limit_counts_only_valid_sequences",),
     ),
     Mutant(
-        "a gap limit past n - 1 reads entries past the longest gap",
+        "the validity bounds drop the gap limit's n - 1 clip",
         "gaptri/model.py",
-        "min(threshold.limit(n) + 1, n)",
-        "threshold.limit(n) + 1",
+        "min(threshold.limit(n), n - 1)",
+        "threshold.limit(n)",
         (f"{HISTOGRAM}::test_constant_at_least_n_minus_1_equals_unbounded",),
+    ),
+    Mutant(
+        "the bit-count walk yields every value when the window misses the full one",
+        "gaptri/model.py",
+        "if lo <= 0 and hi >= bits:",
+        "if lo <= 0 and hi >= bits - 1:",
+        (f"{BIT_COUNT_WINDOW}::test_equals_filter_for_every_window",),
+    ),
+    Mutant(
+        "the bit-count walk takes a window below 0 set bits",
+        "gaptri/model.py",
+        "1 << bits if hi >= 0 else 0",
+        "1 << bits",
+        (f"{BIT_COUNT_WINDOW}::test_equals_filter_for_every_window",),
     ),
     Mutant(
         "a type-map coefficient of 10**18 or more is accepted",
@@ -293,9 +309,16 @@ MUTANTS = (
     Mutant(
         "every row is checked, whatever its sum",
         "gaptri/search.py",
-        "if sum(weights) == total:",
+        "if left == 0:",
         "if True:",
         PAIR_CHECK_COUNTS,
+    ),
+    Mutant(
+        "the search reads every census whole",
+        "gaptri/search.py",
+        "            if left < 0:\n                break\n",
+        "            if left < 0:\n                pass\n",
+        (f"{PLANTED_PAST_MAX_N}::test_search_reads_a_census_no_further_than_the_row_sum",),
     ),
     Mutant(
         "a group's B-count window goes unchecked",
