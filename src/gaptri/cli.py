@@ -123,9 +123,10 @@ def _line(cells: list[str], widths: list[int], fmt: str) -> str:
     return "  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip() + "\n"
 
 
-def _render(headers: list[str], rows: list[list[str]], fmt: str) -> str:
+def _render(headers: list[str], rows: list[list[str]], fmt: str) -> Iterator[str]:
+    # The table's lines, to be written one by one; the widths are taken first.
     widths = _widths(headers, rows)
-    return "".join(_line(cells, widths, fmt) for cells in [headers] + rows)
+    return (_line(cells, widths, fmt) for cells in [headers] + rows)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
@@ -137,14 +138,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     return listing.blocks(args.n, spec, args.valid_only, args.format), 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> tuple[list[str], int]:
+def _cmd_stats(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     sequences.check_enumerable(args.n)
     weights = model._valid_weights(model.Unbounded(), None, args.n)
     body = [[str(g), str(c)] for g, c in enumerate(weights)]
-    return [_render(["gap", "count"], body, args.format)], 0
+    return _render(["gap", "count"], body, args.format), 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     spec = model.parse_model(args.model)
     target = _load_triangle(args)
     verdicts = [verify.verify_row(spec, target, n) for n in _rows_range(args.rows, target)]
@@ -155,11 +156,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
         row = ",".join(str(e) for e in v.target)
         detail = "; ".join(f"k={k}: {entry(p)} vs {entry(t)}" for k, p, t in v.mismatch_detail)
         body.append([str(v.n), "yes" if v.matches else "no", predicted, row, detail or "-"])
-    text = _render(["row", "match", "predicted", "target", "detail"], body, args.format)
-    return [text], 0 if all(v.matches for v in verdicts) else 1
+    lines = _render(["row", "match", "predicted", "target", "detail"], body, args.format)
+    return lines, 0 if all(v.matches for v in verdicts) else 1
 
 
-def _cmd_obstruct(args: argparse.Namespace) -> tuple[list[str], int]:
+def _cmd_obstruct(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     spec = model.parse_model(args.model)
     target = _load_triangle(args)
     reports = [verify.obstruction_report(spec, target, n) for n in _rows_range(args.rows, target)]
@@ -168,10 +169,10 @@ def _cmd_obstruct(args: argparse.Namespace) -> tuple[list[str], int]:
         [str(r.n), str(r.provided_types), str(r.required_types), "yes" if r.obstructed else "no"]
         for r in reports
     ]
-    return [_render(["row", "provided", "required", "obstructed"], body, args.format)], 0
+    return _render(["row", "provided", "required", "obstructed"], body, args.format), 0
 
 
-def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
+def _cmd_search(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     if args.top < 0:
         raise ValueError("--top must be >= 0")
     target = _load_triangle(args)
@@ -187,8 +188,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[list[str], int]:
         if unmatched:
             failure = f"row {unmatched[0]}: " + search.witness(result.model, target, unmatched[0])
         body.append([str(rank + 1), name, score, matched, failure])
-    text = _render(["rank", "model", "score", "matched", "first_failure"], body, args.format)
-    return [text], 0
+    return _render(["rank", "model", "score", "matched", "first_failure"], body, args.format), 0
 
 
 def _cmd_ingest(args: argparse.Namespace) -> tuple[list[str], int]:

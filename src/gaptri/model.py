@@ -150,6 +150,8 @@ def type_for_gap(model: ModelSpec, n: int, gap: int) -> int:
 
 def _bounds(threshold: Threshold, b_count: tuple[int, int] | None, n: int) -> tuple[int, int, int]:
     # Length n's validity rule: gap <= limit (at most n - 1) and lo..hi B's.
+    if n < 1:
+        raise ValueError("sequence length must be >= 1")
     lo, hi = b_count or (1, n)
     return min(threshold.limit(n), n - 1), lo, hi
 
@@ -248,16 +250,19 @@ def type_histogram(model: ModelSpec, n: int) -> TypeHistogram:
     Summed from the census entries ``_valid_weights`` reads, without
     visiting any sequence, so any n >= 1 is accepted.
     """
-    if n < 1:
-        raise ValueError("sequence length must be >= 1")
     weights = _valid_weights(model.gap_threshold, model.b_count, n)
     counts = _type_counts(weights, model.type_map.pair(n))
     return TypeHistogram(dict(sorted(counts.items())), n)
 
 
 def max_type_count(model: ModelSpec, n: int) -> int:
-    """Number of distinct type values the model realizes at length n."""
-    return len(type_histogram(model, n).counts)
+    """Number of distinct types the model realizes at length n: the key count
+    of ``type_histogram(model, n)``, read from the bounds, not a census. One B
+    gives gap 0 and b >= 2 B's every gap from b - 1 to the limit; a type map
+    of slope 0 gives all realized gaps one type."""
+    limit, lo, hi = _bounds(model.gap_threshold, model.b_count, n)
+    gaps = (lo == 1) + max(0, limit - max(lo, 2) + 2) * (hi >= 2) if limit >= 0 else 0
+    return gaps if model.type_map.pair(n)[0] else min(gaps, 1)
 
 
 def format_model(model: ModelSpec) -> str:

@@ -41,7 +41,7 @@ from .model import (
     format_model,
 )
 from .triangle import CoefficientTriangle
-from .verify import _entry_text, _obstruction, verify_row
+from .verify import _entry_text, obstruction_report, verify_row
 
 
 class SearchFamily(NamedTuple):
@@ -196,7 +196,7 @@ def witness(model: ModelSpec, triangle: CoefficientTriangle, n: int) -> str:
     verdict = verify_row(model, triangle, n)
     if verdict.matches:
         raise NotAFailureError(n)
-    _, provided, required, obstructed = _obstruction(n, verdict.predicted, verdict.target)
+    _, provided, required, obstructed = obstruction_report(model, triangle, n)
     if obstructed:
         return f"type-count deficit: provided {provided} < required {required}"
     k, predicted, target = verdict.mismatch_detail[0]

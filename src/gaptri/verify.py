@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import ModelSpec, TypeHistogram, type_histogram
-from .triangle import CoefficientTriangle
+from .model import ModelSpec, TypeHistogram, max_type_count, type_histogram
+from .triangle import CoefficientTriangle, required_type_count
 
 
 class RowVerdict(NamedTuple):
@@ -77,15 +77,9 @@ def boundary_check(
 def obstruction_report(
     model: ModelSpec, triangle: CoefficientTriangle, n: int
 ) -> ObstructionReport:
-    """Counting certificate for row n: the model's distinct types at length n
-    against the row's entries. A missing row is refused before any census work."""
-    row = triangle.row(n)
-    return _obstruction(n, type_histogram(model, n), row)
-
-
-def _obstruction(n: int, predicted: TypeHistogram, row: tuple[int, ...]) -> ObstructionReport:
-    # Every row entry is nonzero, so the row needs one type per entry.
-    provided, required = len(predicted.counts), len(row)
+    """Counting certificate for row n: the model's distinct types at length n,
+    counted without a census, against the row's entries (a missing row first)."""
+    required, provided = required_type_count(triangle, n), max_type_count(model, n)
     return ObstructionReport(n, provided, required, provided < required)
 
 

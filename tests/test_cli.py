@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -524,6 +525,36 @@ class TestVerify:
         assert out == ""
         assert err != ""
 
+    def test_table_is_written_line_by_line(self, tmp_path, monkeypatch):
+        # The cells are kept for the column widths, but the table is never
+        # joined whole: the traced peak stays within 2.5 times what is
+        # written (about 3.7 times when the table was one string).
+        path = tmp_path / "ones.txt"
+        path.write_text("1\n" * 300, encoding="utf-8")
+
+        class Counter:
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        sink = Counter()
+        monkeypatch.setattr(sys, "stdout", sink)
+        model = "gap<=inf; type=affine(1,1); bcount=*"
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--triangle", str(path), "--rows", "1..300", "--model", model])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert sink.written > 6_000_000
+        assert peak < 2.5 * sink.written
+
 
 class TestObstruct:
     def test_rows_4_to_9(self, capsys):
@@ -541,6 +572,17 @@ class TestObstruct:
             "row=3 provided=2 required=2 obstructed=false\n"
             "row=4 provided=2 required=3 obstructed=true\n"
         )
+
+    def test_reads_no_census(self, capsys, monkeypatch):
+        # The type count comes from the model's bounds, not from a census.
+        expected = run_cli(capsys, "obstruct", "--rows", "4..9")
+
+        def no_census(*args):
+            raise AssertionError("obstruct read a census")
+
+        monkeypatch.setattr(gaptri.model, "_valid_weights", no_census)
+        assert run_cli(capsys, "obstruct", "--rows", "4..9") == expected
+        assert expected[0] == 0
 
 
 class TestSearch:

@@ -17,7 +17,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaptri import cli, default_family, embedded_half_triangle, format_model, format_triangle
@@ -195,15 +195,17 @@ def test_main_keeps_its_contract(invocation):
 
 #: Rows of the all-ones triangle that the long-range fuzz reads.
 ONES = 2000
-# Family members with a constant threshold only: verify prints every predicted
-# count, about 1.7 GB over 2,000 rows under gap<=inf.
+# Family members with a constant threshold only, for verify: it prints every
+# predicted count, about 1.7 GB over 2,000 rows under gap<=inf. obstruct prints
+# three counts a row, so it draws from every sampled family text.
 NARROW_MODELS = st.sampled_from(
     [text for text in FAMILY_TEXTS[::50] if not text.startswith(("gap<=n/2", "gap<=inf"))]
 )
 
 
 def long_range(command):
-    extra = optional("--top", TOPS) if command == "search" else optional("--model", NARROW_MODELS)
+    models = st.sampled_from(FAMILY_TEXTS[::50]) if command == "obstruct" else NARROW_MODELS
+    extra = optional("--top", TOPS) if command == "search" else optional("--model", models)
     return st.builds(
         lambda last, more, out, fmt: (
             [command, "--triangle", "{dir}/input.txt", "--rows", f"1..{last}", *more, *out, *fmt],
@@ -216,8 +218,21 @@ def long_range(command):
     )
 
 
+# Pinned because the derandomized draw misses it: among the slowest sampled
+# family texts for obstruct over 2,000 rows, about 1.4 s in process when each
+# row's types are counted from a census rather than in closed form.
+SLOW_OBSTRUCT = "gap<=inf; type=even(1,0)/odd(1,1); bcount=*"
+
+
 @settings(max_examples=40, deadline=1000, derandomize=True)
 @given(invocation=st.sampled_from(["search", "verify", "obstruct"]).flatmap(long_range))
+@example(
+    invocation=(
+        ["obstruct", "--triangle", "{dir}/input.txt", "--rows", f"1..{ONES}"]
+        + ["--model", SLOW_OBSTRUCT],
+        "1\n" * ONES,
+    )
+)
 def test_long_row_ranges_keep_the_contract_within_a_second(invocation):
     # The rows 1..N of a long all-ones triangle: each example keeps the
     # contract above, and hypothesis's deadline bounds its time.

@@ -403,6 +403,37 @@ class TestMaxTypeCount:
         realized = {type_of(model, s) for s in valid_set(model, 5)}
         assert realized == {1, 2, 3, 4}
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_histogram_key_count(self, data):
+        # The closed form against its oracle, the census histogram's keys.
+        n = data.draw(st.integers(1, 80))
+        ends = st.tuples(st.integers(1, n + 5), st.integers(1, n + 5))
+        window = data.draw(st.none() | ends.map(lambda t: tuple(sorted(t))))
+        type_map = data.draw(TYPE_MAPS | st.builds(Affine, st.just(0), COEFFICIENT))
+        # n/2-3 has a limit below 0 at n <= 3, where no type is realized.
+        threshold = data.draw(THRESHOLDS | st.just(Threshold(1, -3, "n/2-3")))
+        model = ModelSpec(threshold, type_map, window)
+        assert max_type_count(model, n) == len(type_histogram(model, n).counts)
+
+    @pytest.mark.parametrize("n", [2000, 4999, 5000, 5001, 6000])
+    def test_equals_histogram_key_count_on_long_rows(self, n):
+        for text in (
+            "gap<=inf; type=affine(1,1); bcount=*",
+            "gap<=inf; type=affine(1,1); bcount=5000..9000",
+            "gap<=inf; type=even(0,1)/odd(2,0); bcount=5000..9000",
+            "gap<=n/2; type=parity-paper; bcount=2..4",
+            "gap<=3; type=affine(0,1); bcount=1..2",
+        ):
+            model = parse_model(text)
+            expected = len(type_histogram(model, n).counts)
+            assert max_type_count(model, n) == expected, (text, n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_length_below_one_is_rejected(self, n):
+        with pytest.raises(ValueError, match="sequence length must be >= 1"):
+            max_type_count(canonical_model(), n)
+
 
 class TestThreshold:
     @pytest.mark.parametrize("n", range(1, 41))

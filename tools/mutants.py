@@ -62,6 +62,10 @@ SPLITS_ON_ASCII_BLANKS = (
 )
 OVER_LONG_NUMBERS = "tests/test_cli.py::TestUsage::test_over_long_numbers_are_refused"
 LEADING_MARK = "tests/test_cli.py::TestIngest::test_leading_byte_order_mark_is_skipped"
+TYPE_COUNT = (
+    "tests/test_model.py::TestMaxTypeCount::test_equals_histogram_key_count",
+    "tests/test_verify.py::TestTypeCountBound::test_closed_form",
+)
 PAIR_CHECK_COUNTS = (
     "tests/test_search.py::TestBehaviourClasses::test_verifies_each_live_row_and_type_pair_once",
     "tests/test_cli.py::TestSearch::test_out_formats_only_the_printed_models",
@@ -125,6 +129,58 @@ MUTANTS = (
         "min(threshold.limit(n), n - 1)",
         "threshold.limit(n)",
         (f"{HISTOGRAM}::test_constant_at_least_n_minus_1_equals_unbounded",),
+    ),
+    Mutant(
+        "the type count takes gap 0 for a window starting at 2 B's",
+        "gaptri/model.py",
+        "(lo == 1)",
+        "(lo <= 2)",
+        TYPE_COUNT,
+    ),
+    Mutant(
+        "the type count lets one B give a gap of 1 or more",
+        "gaptri/model.py",
+        "max(lo, 2)",
+        "max(lo, 1)",
+        TYPE_COUNT,
+    ),
+    Mutant(
+        "the type count misses the widest gap",
+        "gaptri/model.py",
+        "max(lo, 2) + 2",
+        "max(lo, 2) + 1",
+        TYPE_COUNT,
+    ),
+    Mutant(
+        "the type count gives gaps of 1 or more to a one-B window",
+        "gaptri/model.py",
+        "(hi >= 2)",
+        "(hi >= 1)",
+        TYPE_COUNT,
+    ),
+    Mutant(
+        "the type count realizes nothing under a gap limit of 0",
+        "gaptri/model.py",
+        "if limit >= 0 else 0",
+        "if limit > 0 else 0",
+        TYPE_COUNT,
+    ),
+    Mutant(
+        "the type count ignores a type map of slope 0",
+        "gaptri/model.py",
+        "min(gaps, 1)",
+        "gaps",
+        TYPE_COUNT,
+    ),
+    Mutant(
+        "a length below 1 is accepted",
+        "gaptri/model.py",
+        '    if n < 1:\n        raise ValueError("sequence length must be >= 1")\n',
+        "",
+        (
+            f"{CENSUS}::test_length_below_one_is_rejected",
+            "tests/test_model.py::TestMaxTypeCount::test_length_below_one_is_rejected",
+        ),
     ),
     Mutant(
         "the bit-count walk yields every value when the window misses the full one",
