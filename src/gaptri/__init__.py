@@ -34,16 +34,15 @@ search = _lazy_layer("search")
 
 #: The exported names, by the layer that defines them.
 _EXPORTS = {
-    errors: """EmptySequenceError GaptriError IndexGapError InvalidLengthError
-        InvalidSequenceError InvalidSymbolError MissingRowError ModelParseError
+    errors: """GaptriError IndexGapError InvalidLengthError MissingRowError ModelParseError
         NotAFailureError TriangleParseError TruncatedRowError""",
     model: """Affine Constant EvenOddAffine HalfFloor ModelSpec ParityFlip Threshold
         TypeHistogram TypeMap Unbounded canonical_model format_model is_valid
-        max_type_count parse_model type_for_gap type_histogram type_of valid_set""",
+        max_type_count parse_model type_for_gap type_histogram valid_set""",
     search: """SearchFamily SearchResult default_family evaluate_candidate result_record
         run_search witness""",
     sequences: """MAX_N BinarySequence GapStatistics count_by_gap enumerate_all
-        gap_statistics parse_sequence""",
+        gap_statistics""",
     triangle: """CoefficientTriangle embedded_half_triangle format_triangle half_row_rule
         ingest_bfile parse_triangle required_type_count row_sum""",
     verify: """ObstructionReport RowVerdict boundary_check obstruction_record

@@ -152,7 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     _write_out(args.out, (verify.verdict_record(v) + "\n" for v in verdicts))
     body, entry = [], verify._entry_text
     for v in verdicts:
-        predicted = ",".join(f"{k}:{entry(c)}" for k, c in v.predicted.counts.items()) or "-"
+        predicted = verify._histogram_text(v.predicted) or "-"
         row = ",".join(str(e) for e in v.target)
         detail = "; ".join(f"k={k}: {entry(p)} vs {entry(t)}" for k, p, t in v.mismatch_detail)
         body.append([str(v.n), "yes" if v.matches else "no", predicted, row, detail or "-"])

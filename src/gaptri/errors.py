@@ -20,25 +20,9 @@ class GaptriError(Exception):
         return super().__str__() if self.fields is None else self.text.format(*self.args)
 
 
-class EmptySequenceError(GaptriError):
-    fields = ()
-    text = "sequence text is empty"
-
-
-class InvalidSymbolError(GaptriError):
-    """Character outside the {R, B} alphabet; position is 1-based."""
-
-    fields = ("position", "found")
-    text = "invalid symbol {1!r} at position {0}"
-
-
 class InvalidLengthError(GaptriError):
     fields = ("n", "max_n")
     text = "length {0} outside the enumerable range 1..{1}"
-
-
-class InvalidSequenceError(GaptriError):
-    """Sequence fails the model's validity predicate where validity is required."""
 
 
 class ModelParseError(GaptriError):

@@ -31,7 +31,7 @@ import re
 from collections import namedtuple
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InvalidSequenceError, ModelParseError
+from .errors import ModelParseError
 from .sequences import BinarySequence, _Checked, _read_int, check_enumerable, gap_statistics
 
 
@@ -164,13 +164,6 @@ def is_valid(model: ModelSpec, seq: BinarySequence) -> bool:
     return stats is not None and stats.gap <= limit and lo <= seq.b_count <= hi
 
 
-def type_of(model: ModelSpec, seq: BinarySequence) -> int:
-    """Type index of a valid sequence; raises InvalidSequenceError otherwise."""
-    if not is_valid(model, seq):
-        raise InvalidSequenceError(f"{seq} is not valid under {format_model(model)}")
-    return type_for_gap(model, seq.n, gap_statistics(seq).gap)
-
-
 def valid_set(model: ModelSpec, n: int) -> list[BinarySequence]:
     """All valid length-n sequences in lexicographic order (ascending code).
 
@@ -183,8 +176,9 @@ def valid_set(model: ModelSpec, n: int) -> list[BinarySequence]:
     if limit < 0:
         return []
     return [
-        BinarySequence(n, 1 << h | m << max(h - limit, 0))
+        BinarySequence(n, top | m << shift)
         for h in range(n)
+        for top, shift in [(1 << h, max(h - limit, 0))]
         for m in _bit_count_window(min(h, limit), lo - 1, hi - 1)
     ]
 

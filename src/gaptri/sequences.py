@@ -4,10 +4,12 @@ A length-n sequence is packed into an integer code in [0, 2**n): position i
 (1-based, reading left to right) lives at bit (n - i), with B = 1 and R = 0.
 Sweeping codes upward therefore walks the sequences in lexicographic order
 with R < B, which is the ordering every stream in this package guarantees.
-All reported positions (first_b, last_b, parse error positions) are 1-based.
+All reported positions (first_b, last_b) are 1-based.
 
-``enumerate_all`` and ``count_by_gap`` visit all 2**n codes, so they accept
-only lengths 1..MAX_N = 30 (``check_enumerable``).
+No command calls ``enumerate_all``, ``gap_statistics`` or ``count_by_gap``:
+they are the per-sequence oracles of the tests, and ``perfbench``'s tracer
+wraps them. The first and last visit all 2**n codes, so they accept only
+lengths 1..MAX_N = 30 (``check_enumerable``).
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, Iterator
 
-from .errors import EmptySequenceError, InvalidLengthError, InvalidSymbolError
+from .errors import InvalidLengthError
 
 #: Hard ceiling for exhaustive enumeration: at most 2**30 cheap iterations.
 MAX_N = 30
 
-#: The alphabet in both directions, via ``str.translate``: a code's binary
-#: digits spelled as symbols (0 -> R, 1 -> B), and symbols read back as digits.
-_SYMBOLS = str.maketrans("01RB", "RB01")
+#: A code's binary digits spelled as symbols (0 -> R, 1 -> B), via ``str.translate``.
+_SYMBOLS = str.maketrans("01", "RB")
 
 
 class _Checked:
@@ -51,10 +52,6 @@ class BinarySequence(_Checked, namedtuple("BinarySequence", "n code")):
         return super().__new__(cls, n, code)
 
     @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(str(self))
-
-    @property
     def b_count(self) -> int:
         return self.code.bit_count()
 
@@ -76,16 +73,6 @@ class GapStatistics(_Checked, namedtuple("GapStatistics", "first_b last_b gap"))
         if gap != last_b - first_b:
             raise ValueError("gap must equal last_b - first_b")
         return super().__new__(cls, first_b, last_b, gap)
-
-
-def parse_sequence(text: str) -> BinarySequence:
-    """Decode the one-character-per-symbol text form, e.g. ``"BBR"``."""
-    if text == "":
-        raise EmptySequenceError()
-    for position, ch in enumerate(text, start=1):
-        if ch not in "RB":
-            raise InvalidSymbolError(position, ch)
-    return BinarySequence(len(text), int(text.translate(_SYMBOLS), 2))
 
 
 def _read_int(text: str) -> int:

@@ -83,9 +83,14 @@ def obstruction_report(
     return ObstructionReport(n, provided, required, provided < required)
 
 
+def _histogram_text(histogram: TypeHistogram) -> str:
+    # The predicted counts as k:c pairs, types ascending; "" when there are none.
+    return ",".join(f"{k}:{_entry_text(c)}" for k, c in histogram.counts.items())
+
+
 def verdict_record(verdict: RowVerdict) -> str:
     """One-line machine form of a row verdict (format in the module docstring)."""
-    predicted = ",".join(f"{k}:{_entry_text(c)}" for k, c in verdict.predicted.counts.items())
+    predicted = _histogram_text(verdict.predicted)
     target = ",".join(str(entry) for entry in verdict.target)
     flag = "true" if verdict.matches else "false"
     return f"row={verdict.n} match={flag} predicted={predicted} target={target}"

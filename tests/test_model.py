@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from gaptri import (
     Affine,
+    BinarySequence,
     Constant,
     EvenOddAffine,
     HalfFloor,
     InvalidLengthError,
-    InvalidSequenceError,
     ModelParseError,
     ModelSpec,
     ParityFlip,
@@ -27,12 +27,22 @@ from gaptri import (
     is_valid,
     max_type_count,
     parse_model,
-    parse_sequence,
+    type_for_gap,
     type_histogram,
-    type_of,
     valid_set,
 )
 from gaptri.model import _bit_count_window, _valid_weights
+
+
+def seq(text):
+    # The sequence an R/B text spells, read here and not by gaptri.
+    return BinarySequence(len(text), int(text.replace("R", "0").replace("B", "1"), 2))
+
+
+def valid_type(model, s):
+    # The type the model gives a valid sequence: its gap's type.
+    assert is_valid(model, s)
+    return type_for_gap(model, s.n, gap_statistics(s).gap)
 
 
 def string_histogram(model, n):
@@ -108,36 +118,32 @@ class TestCanonicalModel:
 
     def test_type_assignments(self):
         model = canonical_model()
-        assert type_of(model, parse_sequence("BB")) == 1
-        assert type_of(model, parse_sequence("RBR")) == 1
-        assert type_of(model, parse_sequence("RB")) == 2
-        assert type_of(model, parse_sequence("BBR")) == 2
-        assert type_of(model, parse_sequence("B")) == 1
+        assert valid_type(model, seq("BB")) == 1
+        assert valid_type(model, seq("RBR")) == 1
+        assert valid_type(model, seq("RB")) == 2
+        assert valid_type(model, seq("BBR")) == 2
+        assert valid_type(model, seq("B")) == 1
 
 
 class TestValidity:
     def test_canonical_rejects_gap_two(self):
-        assert not is_valid(canonical_model(), parse_sequence("BRB"))
+        assert not is_valid(canonical_model(), seq("BRB"))
 
     def test_canonical_accepts_gap_one(self):
-        assert is_valid(canonical_model(), parse_sequence("BBR"))
+        assert is_valid(canonical_model(), seq("BBR"))
 
     def test_wider_threshold_accepts(self):
         model = ModelSpec(Constant(2), ParityFlip())
-        assert is_valid(model, parse_sequence("BRB"))
+        assert is_valid(model, seq("BRB"))
 
     def test_no_b_never_valid(self):
-        assert not is_valid(ModelSpec(Unbounded(), ParityFlip()), parse_sequence("RRR"))
+        assert not is_valid(ModelSpec(Unbounded(), ParityFlip()), seq("RRR"))
 
     def test_b_count_constraint(self):
         model = ModelSpec(Unbounded(), ParityFlip(), (2, 2))
-        assert is_valid(model, parse_sequence("BRB"))
-        assert not is_valid(model, parse_sequence("BRR"))
-        assert not is_valid(model, parse_sequence("BBB"))
-
-    def test_type_of_requires_validity(self):
-        with pytest.raises(InvalidSequenceError):
-            type_of(canonical_model(), parse_sequence("BRB"))
+        assert is_valid(model, seq("BRB"))
+        assert not is_valid(model, seq("BRR"))
+        assert not is_valid(model, seq("BBB"))
 
 
 class TestValidSet:
@@ -218,9 +224,9 @@ class TestTypeHistogram:
         model = ModelSpec(Threshold(1, -3, "n/2-3"), Affine(1, 1))
         for n in range(1, 13):
             expected = {}
-            for seq in enumerate_all(n):
-                if is_valid(model, seq):
-                    k = type_of(model, seq)
+            for s in enumerate_all(n):
+                if is_valid(model, s):
+                    k = valid_type(model, s)
                     expected[k] = expected.get(k, 0) + 1
             assert type_histogram(model, n).counts == dict(sorted(expected.items())), n
 
@@ -247,13 +253,17 @@ class TestTypeHistogram:
     @pytest.mark.parametrize("model", SAMPLE_MODELS)
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_type_depends_only_on_gap(self, model, n):
+        # The valid sequences of one gap all count under that gap's type.
         by_gap = {}
-        for seq in enumerate_all(n):
-            if not is_valid(model, seq):
-                continue
-            gap = gap_statistics(seq).gap
-            k = type_of(model, seq)
-            assert by_gap.setdefault(gap, k) == k
+        for s in enumerate_all(n):
+            if is_valid(model, s):
+                gap = gap_statistics(s).gap
+                by_gap[gap] = by_gap.get(gap, 0) + 1
+        expected = {}
+        for gap, count in by_gap.items():
+            k = type_for_gap(model, n, gap)
+            expected[k] = expected.get(k, 0) + count
+        assert type_histogram(model, n).counts == dict(sorted(expected.items()))
 
 
 def census_windows(n):
@@ -400,7 +410,7 @@ class TestMaxTypeCount:
         model = ModelSpec(Constant(3), ParityFlip())
         assert max_type_count(model, 5) == 4
         # Oracle: distinct types over the enumerated valid set.
-        realized = {type_of(model, s) for s in valid_set(model, 5)}
+        realized = {valid_type(model, s) for s in valid_set(model, 5)}
         assert realized == {1, 2, 3, 4}
 
     @settings(max_examples=400, deadline=None, derandomize=True)

@@ -21,7 +21,6 @@ from gaptri import (
     evaluate_candidate,
     gap_statistics,
     obstruction_report,
-    parse_sequence,
     type_histogram,
     verify_row,
 )
@@ -34,8 +33,8 @@ RECORDS = {
     "TypeMap": ParityFlip(),
     "ModelSpec": ModelSpec(Constant(1), ParityFlip(), (1, 2)),
     "TypeHistogram": type_histogram(MODEL, 4),
-    "BinarySequence": parse_sequence("RBB"),
-    "GapStatistics": gap_statistics(parse_sequence("RBB")),
+    "BinarySequence": BinarySequence(3, 3),
+    "GapStatistics": gap_statistics(BinarySequence(3, 3)),
     "CoefficientTriangle": TRIANGLE,
     "SearchFamily": default_family(),
     "SearchResult": evaluate_candidate(MODEL, TRIANGLE, (1, 2, 3, 4)),
@@ -123,10 +122,7 @@ def test_binary_sequence_len_is_its_length():
 
 ERRORS = [
     gaptri.errors.GaptriError("plain message"),
-    gaptri.errors.EmptySequenceError(),
-    gaptri.errors.InvalidSymbolError(3, "x"),
     gaptri.errors.InvalidLengthError(31, 30),
-    gaptri.errors.InvalidSequenceError("not valid under the model"),
     gaptri.errors.ModelParseError("cannot parse model"),
     gaptri.errors.TriangleParseError(7, "not an integer"),
     gaptri.errors.IndexGapError(4, 6),
@@ -166,12 +162,11 @@ def test_error_is_rebuilt_from_its_args(error):
 
 def test_error_repr_is_its_call():
     assert repr(gaptri.errors.MissingRowError(10)) == "MissingRowError(10)"
-    assert repr(gaptri.errors.InvalidSymbolError(3, "x")) == "InvalidSymbolError(3, 'x')"
+    assert repr(gaptri.errors.TriangleParseError(7, "x")) == "TriangleParseError(7, 'x')"
 
 
 MESSAGE_ONLY = (
     gaptri.errors.GaptriError,
-    gaptri.errors.InvalidSequenceError,
     gaptri.errors.ModelParseError,
 )
 

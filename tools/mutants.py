@@ -62,9 +62,12 @@ SPLITS_ON_ASCII_BLANKS = (
 )
 OVER_LONG_NUMBERS = "tests/test_cli.py::TestUsage::test_over_long_numbers_are_refused"
 LEADING_MARK = "tests/test_cli.py::TestIngest::test_leading_byte_order_mark_is_skipped"
+REFERENCE = "tests/test_reference.py::test_verify_and_obstruct_records_equal_the_reference"
+REFERENCE_SEARCH = "tests/test_reference.py::test_search_records_equal_the_reference"
 TYPE_COUNT = (
     "tests/test_model.py::TestMaxTypeCount::test_equals_histogram_key_count",
     "tests/test_verify.py::TestTypeCountBound::test_closed_form",
+    REFERENCE,
 )
 PAIR_CHECK_COUNTS = (
     "tests/test_search.py::TestBehaviourClasses::test_verifies_each_live_row_and_type_pair_once",
@@ -87,6 +90,13 @@ MUTANTS = (
         (GOLDEN, "tests/test_acceptance.py::test_08_search_certificate"),
     ),
     Mutant(
+        "the ranking ignores the model text",
+        "gaptri/search.py",
+        "order = sorted(range(len(texts)), key=texts.__getitem__)",
+        "order = list(range(len(texts)))",
+        (GOLDEN, REFERENCE_SEARCH),
+    ),
+    Mutant(
         "the ranking ignores the score",
         "gaptri/search.py",
         "    order.sort(key=[len(m) for m in matches].__getitem__, reverse=True)\n",
@@ -102,6 +112,7 @@ MUTANTS = (
             f"{CENSUS}::test_valid_total_equals_histogram_total",
             f"{HISTOGRAM}::test_negative_limit_counts_only_valid_sequences",
             "tests/test_acceptance.py::test_01_theorem_reproduction",
+            REFERENCE,
         ),
     ),
     Mutant(
@@ -114,6 +125,7 @@ MUTANTS = (
             f"{HISTOGRAM}::test_negative_limit_counts_only_valid_sequences",
             "tests/test_acceptance.py::test_01_theorem_reproduction",
             "tests/test_acceptance.py::test_08_search_certificate",
+            REFERENCE,
         ),
     ),
     Mutant(
@@ -128,7 +140,7 @@ MUTANTS = (
         "gaptri/model.py",
         "min(threshold.limit(n), n - 1)",
         "threshold.limit(n)",
-        (f"{HISTOGRAM}::test_constant_at_least_n_minus_1_equals_unbounded",),
+        (f"{HISTOGRAM}::test_constant_at_least_n_minus_1_equals_unbounded", REFERENCE),
     ),
     Mutant(
         "the type count takes gap 0 for a window starting at 2 B's",
@@ -215,6 +227,7 @@ MUTANTS = (
         (
             f"{CENSUS}::test_weights_equal_scan",
             f"{CENSUS}::test_weights_equal_binomial_sums_past_max_n",
+            REFERENCE,
         ),
     ),
     Mutant(
@@ -225,6 +238,7 @@ MUTANTS = (
         (
             f"{CENSUS}::test_weights_equal_scan",
             f"{CENSUS}::test_weights_equal_binomial_sums_past_max_n",
+            REFERENCE,
         ),
     ),
     Mutant(
@@ -235,6 +249,7 @@ MUTANTS = (
         (
             f"{CENSUS}::test_weights_equal_scan",
             f"{CENSUS}::test_weights_equal_binomial_sums_past_max_n",
+            REFERENCE,
         ),
     ),
     Mutant(
@@ -246,7 +261,17 @@ MUTANTS = (
             f"{CENSUS}::test_weights_equal_scan",
             f"{CENSUS}::test_weights_equal_binomial_sums_past_max_n",
             f"{HISTOGRAM}::test_against_string_oracle",
+            REFERENCE,
         ),
+    ),
+    Mutant(
+        "the type counts keep a census entry of 0",
+        "gaptri/model.py",
+        "        if weight:\n"
+        "            k = a * gap + b\n"
+        "            counts[k] = counts.get(k, 0) + weight\n",
+        "        k = a * gap + b\n        counts[k] = counts.get(k, 0) + weight\n",
+        (REFERENCE, REFERENCE_SEARCH),
     ),
     Mutant(
         "a one-B window counts the sequences with more B's",
@@ -256,6 +281,7 @@ MUTANTS = (
         (
             f"{CENSUS}::test_weights_equal_scan",
             "tests/test_acceptance.py::test_08_search_certificate",
+            REFERENCE,
         ),
     ),
     Mutant(
@@ -470,13 +496,6 @@ MUTANTS = (
         SPLITS_ON_ASCII_BLANKS,
     ),
     Mutant(
-        "a sequence's symbols go unchecked before int() reads them",
-        "gaptri/sequences.py",
-        'if ch not in "RB":',
-        "if False:",
-        ("tests/test_sequences.py::TestParse::test_refuses_what_int_would_read",),
-    ),
-    Mutant(
         "a row range stops one row short",
         "gaptri/cli.py",
         "range(lo, hi + 1)",
@@ -523,10 +542,7 @@ MUTANTS = (
         "gaptri/errors.py",
         "            vars(self).update(zip(self.fields, args))\n",
         "",
-        (
-            "tests/test_search.py::TestRunSearch::test_missing_row_crosses_the_pool_intact",
-            "tests/test_sequences.py::TestParse::test_invalid_symbol_position",
-        ),
+        ("tests/test_search.py::TestRunSearch::test_missing_row_crosses_the_pool_intact",),
     ),
     Mutant(
         "an error's text ignores its fields",
