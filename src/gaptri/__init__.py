@@ -41,8 +41,7 @@ _EXPORTS = {
         max_type_count parse_model type_for_gap type_histogram valid_set""",
     search: """SearchFamily SearchResult default_family evaluate_candidate result_record
         run_search witness""",
-    sequences: """MAX_N BinarySequence GapStatistics count_by_gap enumerate_all
-        gap_statistics""",
+    sequences: """MAX_N GapStatistics count_by_gap enumerate_all gap_statistics""",
     triangle: """CoefficientTriangle embedded_half_triangle format_triangle half_row_rule
         ingest_bfile parse_triangle required_type_count row_sum""",
     verify: """ObstructionReport RowVerdict boundary_check obstruction_record

@@ -1,7 +1,8 @@
 """Command-line front door: enumerate, stats, verify, obstruct, search, ingest.
 
 Exit codes: 0 = requested check passed, 1 = a verified mismatch, 2 = usage,
-IO, or parse error. Identical invocations produce byte-identical stdout.
+IO, or parse error; an unwritable stdout is an IO error, after which the
+output may be partial. Identical invocations produce byte-identical stdout.
 
 The layers are bound as modules and called through them, so each executes
 only when a command first uses it (see ``gaptri/__init__.py``). The
@@ -103,6 +104,12 @@ def main(argv: list[str] | None = None) -> int:
         # The reader stopped early (`gaptri enumerate ... | head`): end
         # quietly, with stdout on devnull so the flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # stdout cannot take the report (`> /dev/full`, a full disk), which
+        # may now be partial: an IO error, and the same devnull as above.
+        print(f"gaptri: error: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
 

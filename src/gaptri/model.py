@@ -29,20 +29,18 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import ModelParseError
-from .sequences import BinarySequence, _Checked, _read_int, check_enumerable, gap_statistics
+from .sequences import _Checked, _read_int, check_enumerable, gap_statistics
 
 
-class Threshold(NamedTuple):
+class Threshold(namedtuple("Threshold", "halves offset name")):
     """Gap ceiling ``halves * n // 2 + offset`` at length n. ``name`` is the
     wire spelling ``format_model`` prints; build instances through
     ``Constant``, ``HalfFloor`` or ``Unbounded`` so it is normalised."""
 
-    halves: int
-    offset: int
-    name: str
+    __slots__ = ()
 
     def limit(self, n: int) -> int:
         return self.halves * n // 2 + self.offset
@@ -65,16 +63,14 @@ def Unbounded() -> Threshold:
     return Threshold(2, -1, "inf")
 
 
-class TypeMap(NamedTuple):
+class TypeMap(namedtuple("TypeMap", "even odd name")):
     """k = a*gap + b, with (a, b) = ``even`` for even n and ``odd`` for odd n.
 
     ``name`` is the wire spelling ``format_model`` prints; build instances
     through ``ParityFlip``, ``Affine`` or ``EvenOddAffine`` so it is normalised.
     """
 
-    even: tuple[int, int]
-    odd: tuple[int, int]
-    name: str
+    __slots__ = ()
 
     def pair(self, n: int) -> tuple[int, int]:
         return self.even if n % 2 == 0 else self.odd
@@ -156,16 +152,17 @@ def _bounds(threshold: Threshold, b_count: tuple[int, int] | None, n: int) -> tu
     return min(threshold.limit(n), n - 1), lo, hi
 
 
-def is_valid(model: ModelSpec, seq: BinarySequence) -> bool:
-    """True iff seq has >= 1 B, its gap is within the resolved threshold, and
-    its B-count satisfies the model's bound (when one is set)."""
-    stats = gap_statistics(seq)
-    limit, lo, hi = _bounds(model.gap_threshold, model.b_count, seq.n)
-    return stats is not None and stats.gap <= limit and lo <= seq.b_count <= hi
+def is_valid(model: ModelSpec, n: int, code: int) -> bool:
+    """True iff the length-n sequence ``code`` has >= 1 B, its gap is within
+    the resolved threshold, and its B-count satisfies the model's bound (when
+    one is set)."""
+    stats = gap_statistics(n, code)
+    limit, lo, hi = _bounds(model.gap_threshold, model.b_count, n)
+    return stats is not None and stats.gap <= limit and lo <= code.bit_count() <= hi
 
 
-def valid_set(model: ModelSpec, n: int) -> list[BinarySequence]:
-    """All valid length-n sequences in lexicographic order (ascending code).
+def valid_set(model: ModelSpec, n: int) -> list[int]:
+    """The codes of all valid length-n sequences, ascending (lexicographic order).
 
     For each highest B at bit h, the other B's lie in the ``min(h, limit)``
     bits just below it, so only codes within the gap threshold are visited;
@@ -176,7 +173,7 @@ def valid_set(model: ModelSpec, n: int) -> list[BinarySequence]:
     if limit < 0:
         return []
     return [
-        BinarySequence(n, top | m << shift)
+        top | m << shift
         for h in range(n)
         for top, shift in [(1 << h, max(h - limit, 0))]
         for m in _bit_count_window(min(h, limit), lo - 1, hi - 1)

@@ -20,8 +20,9 @@ same ranking. ``evaluate_candidate`` checks one candidate alone, through
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NotAFailureError
 from .model import (
@@ -44,12 +45,11 @@ from .triangle import CoefficientTriangle
 from .verify import _entry_text, obstruction_report, verify_row
 
 
-class SearchFamily(NamedTuple):
-    """Finite candidate set: the product of thresholds x type maps x b-count options."""
+class SearchFamily(namedtuple("SearchFamily", "thresholds type_maps b_count_options")):
+    """Finite candidate set: the product of thresholds x type maps x b-count
+    options, each a tuple; a b-count option is a (min, max) window or None."""
 
-    thresholds: tuple[Threshold, ...]
-    type_maps: tuple[TypeMap, ...]
-    b_count_options: tuple[tuple[int, int] | None, ...]
+    __slots__ = ()
 
     def candidates(self) -> Iterator[ModelSpec]:
         """Every candidate, in the order the search evaluates and ties them."""
@@ -58,9 +58,9 @@ class SearchFamily(NamedTuple):
                 yield ModelSpec(threshold, type_map, b_count)
 
 
-class SearchResult(NamedTuple):
-    """One candidate's outcome over the requested rows: the rows it matches
-    and their number.
+class SearchResult(namedtuple("SearchResult", "model matched_rows score")):
+    """One candidate's outcome over the requested rows: the rows it matches,
+    as a frozenset, and their number.
 
     The row verdicts themselves are not kept: their histograms grow with the
     row length, so a family's verdicts over long rows would not fit in
@@ -68,9 +68,7 @@ class SearchResult(NamedTuple):
     why a row fails, marking a type index k < 1 as ill-typed.
     """
 
-    model: ModelSpec
-    matched_rows: frozenset[int]
-    score: int
+    __slots__ = ()
 
 
 def default_family() -> SearchFamily:

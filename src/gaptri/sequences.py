@@ -1,10 +1,10 @@
-"""Binary sequences over the two-symbol alphabet {R, B}.
+"""Binary sequences over the two-symbol alphabet {R, B}, as integer codes.
 
-A length-n sequence is packed into an integer code in [0, 2**n): position i
-(1-based, reading left to right) lives at bit (n - i), with B = 1 and R = 0.
-Sweeping codes upward therefore walks the sequences in lexicographic order
-with R < B, which is the ordering every stream in this package guarantees.
-All reported positions (first_b, last_b) are 1-based.
+A length-n sequence is the integer code in [0, 2**n) whose bit (n - i) holds
+position i (1-based, reading left to right), with B = 1 and R = 0. Sweeping
+codes upward therefore walks the sequences in lexicographic order with
+R < B, which is the ordering every stream in this package guarantees. All
+reported positions (first_b, last_b) are 1-based.
 
 No command calls ``enumerate_all``, ``gap_statistics`` or ``count_by_gap``:
 they are the per-sequence oracles of the tests, and ``perfbench``'s tracer
@@ -39,29 +39,6 @@ class _Checked:
         return cls(*fields)
 
 
-class BinarySequence(_Checked, namedtuple("BinarySequence", "n code")):
-    """One sequence; ``code`` packs the symbols as described in the module docstring."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, code: int) -> BinarySequence:
-        if n < 1:
-            raise ValueError("sequence length must be >= 1")
-        if not 0 <= code < (1 << n):
-            raise ValueError(f"code {code} out of range for length {n}")
-        return super().__new__(cls, n, code)
-
-    @property
-    def b_count(self) -> int:
-        return self.code.bit_count()
-
-    def __str__(self) -> str:
-        return format(self.code, f"0{self.n}b").translate(_SYMBOLS)
-
-    def __len__(self) -> int:
-        return self.n
-
-
 class GapStatistics(_Checked, namedtuple("GapStatistics", "first_b last_b gap")):
     """First and last B positions of a sequence that contains at least one B."""
 
@@ -86,13 +63,18 @@ def _read_int(text: str) -> int:
     return int(text)
 
 
-def gap_statistics(seq: BinarySequence) -> GapStatistics | None:
-    """Positions of the first/last B and their distance; None when there is no B."""
-    if seq.code == 0:
+def gap_statistics(n: int, code: int) -> GapStatistics | None:
+    """Positions of the first/last B of the length-n sequence ``code`` and
+    their distance; None when there is no B."""
+    if n < 1:
+        raise ValueError("sequence length must be >= 1")
+    if code < 0 or code.bit_length() > n:
+        raise ValueError(f"code {code} out of range for length {n}")
+    if code == 0:
         return None
     # Highest set bit -> first (leftmost) B; lowest set bit -> last B.
-    first_b = seq.n - seq.code.bit_length() + 1
-    last_b = seq.n - ((seq.code & -seq.code).bit_length() - 1)
+    first_b = n - code.bit_length() + 1
+    last_b = n - ((code & -code).bit_length() - 1)
     return GapStatistics(first_b, last_b, last_b - first_b)
 
 
@@ -102,11 +84,11 @@ def check_enumerable(n: int) -> None:
         raise InvalidLengthError(n, MAX_N)
 
 
-def enumerate_all(n: int) -> Iterator[BinarySequence]:
-    """Yield all 2**n distinct length-n sequences in lexicographic order (R < B)."""
+def enumerate_all(n: int) -> Iterator[int]:
+    """Yield the codes of all 2**n length-n sequences, 0 .. 2**n - 1: the
+    sequences in lexicographic order (R < B)."""
     check_enumerable(n)
-    for code in range(1 << n):
-        yield BinarySequence(n, code)
+    yield from range(1 << n)
 
 
 def count_by_gap(n: int) -> dict[int, int]:

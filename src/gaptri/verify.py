@@ -12,35 +12,32 @@ Machine-readable record formats (UTF-8, one record per line):
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .model import ModelSpec, TypeHistogram, max_type_count, type_histogram
 from .triangle import CoefficientTriangle, required_type_count
 
 
-class RowVerdict(NamedTuple):
+class RowVerdict(namedtuple("RowVerdict", "n predicted target matches mismatch_detail")):
     """Outcome of checking one triangle row against a model's prediction.
 
-    ``mismatch_detail`` lists (k, predicted, target) triples for every type
-    index where the two sides disagree, with None standing for an absent
-    entry; it is empty exactly when ``matches`` is true.
+    ``predicted`` is the model's ``TypeHistogram`` at length n and ``target``
+    the row's entries, a tuple. ``mismatch_detail`` lists (k, predicted,
+    target) triples for every type index where the two sides disagree, with
+    None standing for an absent entry; it is empty exactly when ``matches``
+    is true.
     """
 
-    n: int
-    predicted: TypeHistogram
-    target: tuple[int, ...]
-    matches: bool
-    mismatch_detail: tuple[tuple[int, int | None, int | None], ...]
+    __slots__ = ()
 
 
-class ObstructionReport(NamedTuple):
+class ObstructionReport(
+    namedtuple("ObstructionReport", "n provided_types required_types obstructed")
+):
     """Counting certificate: a model realizing fewer distinct types than the
     target row has nonzero entries cannot match it."""
 
-    n: int
-    provided_types: int
-    required_types: int
-    obstructed: bool
+    __slots__ = ()
 
 
 def verify_row(model: ModelSpec, triangle: CoefficientTriangle, n: int) -> RowVerdict:

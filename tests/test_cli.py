@@ -99,8 +99,12 @@ def oracle_render(headers, rows, fmt):
 
 
 def oracle_scan(n):
-    """One BinarySequence and its GapStatistics per code of the 2**n scan."""
-    return [(seq, gap_statistics(seq)) for seq in enumerate_all(n)]
+    """Each code of the 2**n scan, its R/B text (spelled here, not by gaptri)
+    and its GapStatistics."""
+    return [
+        (code, format(code, f"0{n}b").replace("0", "R").replace("1", "B"), gap_statistics(n, code))
+        for code in enumerate_all(n)
+    ]
 
 
 def oracle_enumerate(n, model_text):
@@ -116,11 +120,11 @@ def oracle_enumerate(n, model_text):
         headers += [f"gap<={_threshold_text(model, n)}?", _k_header(model, n), "valid?"]
         limit = model.gap_threshold.limit(n)
     body = []
-    for seq, stats in oracle_scan(n):
-        valid = model is not None and is_valid(model, seq)
-        cells = [str(seq), "Yes" if stats else "No"]
+    for code, text, stats in oracle_scan(n):
+        valid = model is not None and is_valid(model, n, code)
+        cells = [text, "Yes" if stats else "No"]
         if show_bcount:
-            cells.append(str(seq.b_count))
+            cells.append(str(text.count("B")))
         if stats is None:
             cells += ["--", "--", "--"]
         else:
@@ -427,7 +431,7 @@ class TestValidCodes:
                     if window is not None and window[0] > window[1]:
                         continue
                     model = ModelSpec(threshold, family.type_maps[0], window)
-                    expected = [s for s in enumerate_all(n) if is_valid(model, s)]
+                    expected = [c for c in enumerate_all(n) if is_valid(model, n, c)]
                     assert valid_set(model, n) == expected, (model, n)
 
     def test_narrow_window_is_output_sized(self, capsys):
@@ -1340,6 +1344,43 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert err == b""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["verify", "--rows", "1..3"], ["enumerate", "-n", "12"]])
+    def test_unwritable_stdout_is_an_io_error(self, argv, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "gaptri", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        assert result.returncode == 2
+        assert result.stderr == f"gaptri: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+    def test_stdout_write_error_exits_2(self, capsys, monkeypatch, tmp_path):
+        class FullStdout:
+            # A stdout over a real descriptor whose writes fail as on a full disk.
+            def __init__(self, fd):
+                self.fd = fd
+
+            def fileno(self):
+                return self.fd
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with open(tmp_path / "stdout", "w") as handle:
+            monkeypatch.setattr(sys, "stdout", FullStdout(handle.fileno()))
+            code = main(["verify", "--rows", "1..3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"gaptri: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
 
 def run_fresh(script):
     """Run ``script`` in a fresh interpreter; return its stdout's words."""
@@ -1412,7 +1453,7 @@ EXPORTS = {
         "SearchFamily SearchResult default_family evaluate_candidate result_record "
         "run_search witness"
     ),
-    "sequences": "MAX_N BinarySequence GapStatistics count_by_gap enumerate_all gap_statistics",
+    "sequences": "MAX_N GapStatistics count_by_gap enumerate_all gap_statistics",
     "triangle": (
         "CoefficientTriangle embedded_half_triangle format_triangle half_row_rule "
         "ingest_bfile parse_triangle required_type_count row_sum"
@@ -1436,7 +1477,7 @@ class TestPackageExports:
 
     def test_all_lists_exactly_the_exports(self):
         assert sorted(gaptri.__all__) == sorted(" ".join(EXPORTS.values()).split())
-        assert len(gaptri.__all__) == 54
+        assert len(gaptri.__all__) == 53
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):

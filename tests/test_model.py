@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gaptri import (
     Affine,
-    BinarySequence,
     Constant,
     EvenOddAffine,
     HalfFloor,
@@ -35,14 +34,19 @@ from gaptri.model import _bit_count_window, _valid_weights
 
 
 def seq(text):
-    # The sequence an R/B text spells, read here and not by gaptri.
-    return BinarySequence(len(text), int(text.replace("R", "0").replace("B", "1"), 2))
+    # The (n, code) an R/B text spells, read here and not by gaptri.
+    return len(text), int(text.replace("R", "0").replace("B", "1"), 2)
 
 
-def valid_type(model, s):
+def text(n, code):
+    # The R/B text of a length-n code, spelled here and not by gaptri.
+    return format(code, f"0{n}b").replace("0", "R").replace("1", "B")
+
+
+def valid_type(model, n, code):
     # The type the model gives a valid sequence: its gap's type.
-    assert is_valid(model, s)
-    return type_for_gap(model, s.n, gap_statistics(s).gap)
+    assert is_valid(model, n, code)
+    return type_for_gap(model, n, gap_statistics(n, code).gap)
 
 
 def string_histogram(model, n):
@@ -118,41 +122,41 @@ class TestCanonicalModel:
 
     def test_type_assignments(self):
         model = canonical_model()
-        assert valid_type(model, seq("BB")) == 1
-        assert valid_type(model, seq("RBR")) == 1
-        assert valid_type(model, seq("RB")) == 2
-        assert valid_type(model, seq("BBR")) == 2
-        assert valid_type(model, seq("B")) == 1
+        assert valid_type(model, *seq("BB")) == 1
+        assert valid_type(model, *seq("RBR")) == 1
+        assert valid_type(model, *seq("RB")) == 2
+        assert valid_type(model, *seq("BBR")) == 2
+        assert valid_type(model, *seq("B")) == 1
 
 
 class TestValidity:
     def test_canonical_rejects_gap_two(self):
-        assert not is_valid(canonical_model(), seq("BRB"))
+        assert not is_valid(canonical_model(), *seq("BRB"))
 
     def test_canonical_accepts_gap_one(self):
-        assert is_valid(canonical_model(), seq("BBR"))
+        assert is_valid(canonical_model(), *seq("BBR"))
 
     def test_wider_threshold_accepts(self):
         model = ModelSpec(Constant(2), ParityFlip())
-        assert is_valid(model, seq("BRB"))
+        assert is_valid(model, *seq("BRB"))
 
     def test_no_b_never_valid(self):
-        assert not is_valid(ModelSpec(Unbounded(), ParityFlip()), seq("RRR"))
+        assert not is_valid(ModelSpec(Unbounded(), ParityFlip()), *seq("RRR"))
 
     def test_b_count_constraint(self):
         model = ModelSpec(Unbounded(), ParityFlip(), (2, 2))
-        assert is_valid(model, seq("BRB"))
-        assert not is_valid(model, seq("BRR"))
-        assert not is_valid(model, seq("BBB"))
+        assert is_valid(model, *seq("BRB"))
+        assert not is_valid(model, *seq("BRR"))
+        assert not is_valid(model, *seq("BBB"))
 
 
 class TestValidSet:
     def test_n3_exact_sequences(self):
-        texts = [str(s) for s in valid_set(canonical_model(), 3)]
+        texts = [text(3, code) for code in valid_set(canonical_model(), 3)]
         assert texts == ["RRB", "RBR", "RBB", "BRR", "BBR"]
 
     def test_n1(self):
-        assert [str(s) for s in valid_set(canonical_model(), 1)] == ["B"]
+        assert [text(1, code) for code in valid_set(canonical_model(), 1)] == ["B"]
 
     def test_n12_size(self):
         assert len(valid_set(canonical_model(), 12)) == 23
@@ -168,22 +172,21 @@ class TestValidSet:
 
     def test_b_count_filters(self):
         single = ModelSpec(Constant(1), ParityFlip(), (1, 1))
-        assert [str(s) for s in valid_set(single, 3)] == ["RRB", "RBR", "BRR"]
+        assert [text(3, code) for code in valid_set(single, 3)] == ["RRB", "RBR", "BRR"]
         double = ModelSpec(Constant(1), ParityFlip(), (2, 2))
-        assert [str(s) for s in valid_set(double, 3)] == ["RBB", "BBR"]
+        assert [text(3, code) for code in valid_set(double, 3)] == ["RBB", "BBR"]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(model=MODELS, n=st.integers(1, 10))
     def test_equals_filtered_enumeration(self, model, n):
         # The walk's window and is_valid's window are read the same way.
-        assert valid_set(model, n) == [s for s in enumerate_all(n) if is_valid(model, s)]
+        assert valid_set(model, n) == [c for c in enumerate_all(n) if is_valid(model, n, c)]
 
     @pytest.mark.parametrize("model", SAMPLE_MODELS)
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_members_are_valid_and_ordered(self, model, n):
-        seqs = valid_set(model, n)
-        assert all(is_valid(model, s) for s in seqs)
-        codes = [s.code for s in seqs]
+        codes = valid_set(model, n)
+        assert all(is_valid(model, n, code) for code in codes)
         assert codes == sorted(codes)
 
     @pytest.mark.parametrize("n", [0, 31])
@@ -196,9 +199,9 @@ class TestValidSet:
     def test_n30_walk_is_output_sized(self):
         # A scan would visit 2**30 codes to find these 59.
         started = time.perf_counter()
-        seqs = valid_set(canonical_model(), 30)
+        codes = valid_set(canonical_model(), 30)
         elapsed = time.perf_counter() - started
-        assert len(seqs) == 59
+        assert len(codes) == 59
         assert elapsed < 1
 
 
@@ -224,9 +227,9 @@ class TestTypeHistogram:
         model = ModelSpec(Threshold(1, -3, "n/2-3"), Affine(1, 1))
         for n in range(1, 13):
             expected = {}
-            for s in enumerate_all(n):
-                if is_valid(model, s):
-                    k = valid_type(model, s)
+            for code in enumerate_all(n):
+                if is_valid(model, n, code):
+                    k = valid_type(model, n, code)
                     expected[k] = expected.get(k, 0) + 1
             assert type_histogram(model, n).counts == dict(sorted(expected.items())), n
 
@@ -255,9 +258,9 @@ class TestTypeHistogram:
     def test_type_depends_only_on_gap(self, model, n):
         # The valid sequences of one gap all count under that gap's type.
         by_gap = {}
-        for s in enumerate_all(n):
-            if is_valid(model, s):
-                gap = gap_statistics(s).gap
+        for code in enumerate_all(n):
+            if is_valid(model, n, code):
+                gap = gap_statistics(n, code).gap
                 by_gap[gap] = by_gap.get(gap, 0) + 1
         expected = {}
         for gap, count in by_gap.items():
@@ -410,7 +413,7 @@ class TestMaxTypeCount:
         model = ModelSpec(Constant(3), ParityFlip())
         assert max_type_count(model, 5) == 4
         # Oracle: distinct types over the enumerated valid set.
-        realized = {valid_type(model, s) for s in valid_set(model, 5)}
+        realized = {valid_type(model, 5, code) for code in valid_set(model, 5)}
         assert realized == {1, 2, 3, 4}
 
     @settings(max_examples=400, deadline=None, derandomize=True)

@@ -1,6 +1,7 @@
-"""The contract every record type keeps: immutable, picklable, equal by value,
-and, for the records with checks, checked however an instance is built; and
-every error type survives a pickle."""
+"""The contract every record type keeps: declared over
+``collections.namedtuple``, immutable, picklable, equal by value, and, for the
+records with checks, checked however an instance is built; and every error
+type survives a pickle."""
 
 import pickle
 
@@ -8,7 +9,6 @@ import pytest
 
 import gaptri.errors
 from gaptri import (
-    BinarySequence,
     CoefficientTriangle,
     Constant,
     GapStatistics,
@@ -33,8 +33,7 @@ RECORDS = {
     "TypeMap": ParityFlip(),
     "ModelSpec": ModelSpec(Constant(1), ParityFlip(), (1, 2)),
     "TypeHistogram": type_histogram(MODEL, 4),
-    "BinarySequence": BinarySequence(3, 3),
-    "GapStatistics": gap_statistics(BinarySequence(3, 3)),
+    "GapStatistics": gap_statistics(3, 3),
     "CoefficientTriangle": TRIANGLE,
     "SearchFamily": default_family(),
     "SearchResult": evaluate_candidate(MODEL, TRIANGLE, (1, 2, 3, 4)),
@@ -47,9 +46,9 @@ CHECKED = [
     (RECORDS["ModelSpec"], {"b_count": (0, 1)}, "b-count bounds need 1 <= min <= max"),
     (RECORDS["ModelSpec"], {"b_count": (2, 1)}, "b-count bounds need 1 <= min <= max"),
     (RECORDS["TypeHistogram"], {"counts": {1: 2, 2: 0}}, "histogram stores only nonzero counts"),
-    (RECORDS["BinarySequence"], {"n": 0}, "sequence length must be >= 1"),
-    (RECORDS["BinarySequence"], {"code": 8}, "code 8 out of range for length 3"),
-    (RECORDS["BinarySequence"], {"code": -1}, "code -1 out of range for length 3"),
+    (RECORDS["TypeHistogram"], {"counts": {1: -3}}, "histogram stores only nonzero counts"),
+    (RECORDS["GapStatistics"], {"first_b": 3}, "gap must equal last_b - first_b"),
+    (RECORDS["GapStatistics"], {"first_b": -1}, "need 1 <= first_b <= last_b"),
     (RECORDS["GapStatistics"], {"first_b": 0}, "need 1 <= first_b <= last_b"),
     (RECORDS["GapStatistics"], {"last_b": 1}, "need 1 <= first_b <= last_b"),
     (RECORDS["GapStatistics"], {"gap": 2}, "gap must equal last_b - first_b"),
@@ -61,7 +60,7 @@ CHECKED = [
 def test_every_record_type_is_covered():
     assert sorted(type(r).__name__ for r in RECORDS.values()) == sorted(RECORDS)
     checked = {type(record) for record, _, _ in CHECKED}
-    assert checked == {ModelSpec, TypeHistogram, BinarySequence, GapStatistics, CoefficientTriangle}
+    assert checked == {ModelSpec, TypeHistogram, GapStatistics, CoefficientTriangle}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -88,6 +87,14 @@ class TestRecordContract:
         assert record._replace() == record
         assert type(record)._make(record) == record
 
+    def test_is_a_namedtuple_subclass_without_a_dict(self, name):
+        # One idiom: a class over collections.namedtuple, with __slots__ = ().
+        record = RECORDS[name]
+        bases = [b for b in type(record).__mro__[1:] if b.__bases__ == (tuple,)]
+        assert [b.__name__ for b in bases] == [name]
+        assert bases[0]._fields == record._fields
+        assert not hasattr(record, "__dict__")
+
     def test_repr_names_the_record(self, name):
         assert repr(RECORDS[name]).startswith(f"{name}({RECORDS[name]._fields[0]}=")
 
@@ -111,13 +118,8 @@ class TestRecordChecks:
 
 
 def test_hash_follows_value():
-    for record in (RECORDS["ModelSpec"], RECORDS["BinarySequence"], RECORDS["SearchResult"]):
+    for record in (RECORDS["ModelSpec"], RECORDS["GapStatistics"], RECORDS["SearchResult"]):
         assert hash(pickle.loads(pickle.dumps(record))) == hash(record)
-
-
-def test_binary_sequence_len_is_its_length():
-    assert len(BinarySequence(5, 3)) == 5
-    assert BinarySequence(5, 3)._replace(n=7) == BinarySequence(7, 3)
 
 
 ERRORS = [

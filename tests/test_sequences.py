@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from gaptri import (
-    BinarySequence,
+    GapStatistics,
     InvalidLengthError,
     count_by_gap,
     enumerate_all,
@@ -12,8 +12,13 @@ from gaptri import (
 
 
 def seq(text):
-    # The sequence an R/B text spells, read here and not by gaptri.
-    return BinarySequence(len(text), int(text.replace("R", "0").replace("B", "1"), 2))
+    # The (n, code) an R/B text spells, read here and not by gaptri.
+    return len(text), int(text.replace("R", "0").replace("B", "1"), 2)
+
+
+def text(n, code):
+    # The R/B text of a length-n code, spelled here and not by gaptri.
+    return format(code, f"0{n}b").replace("0", "R").replace("1", "B")
 
 
 def string_gap(text):
@@ -29,43 +34,48 @@ def all_texts(n):
 
 
 class TestParse:
-    # A text read by ``seq`` prints back as itself.
+    # A sequence is its code: position i at bit n - i, B = 1 and R = 0.
     def test_single_b(self):
-        assert seq("B") == BinarySequence(1, 1)
-        assert str(BinarySequence(1, 1)) == "B"
+        assert seq("B") == (1, 1)
+        assert gap_statistics(1, 1) == GapStatistics(1, 1, 0)
 
     def test_rbb(self):
-        assert str(BinarySequence(3, 3)) == "RBB"
-        assert len(BinarySequence(3, 3)) == 3
+        assert seq("RBB") == (3, 3)
+        assert gap_statistics(3, 3) == GapStatistics(2, 3, 1)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_text_round_trip(self, n):
-        for text in all_texts(n):
-            assert str(seq(text)) == text
+        # The texts in lexicographic order (R < B) are the codes ascending.
+        assert [seq(t) for t in all_texts(n)] == [(n, code) for code in enumerate_all(n)]
 
     def test_no_third_symbol_representable(self):
-        with pytest.raises(ValueError):
-            BinarySequence(3, 8)
-        with pytest.raises(ValueError):
-            BinarySequence(0, 0)
+        refused = [
+            (0, 0, "sequence length must be >= 1"),
+            (3, 8, "code 8 out of range for length 3"),
+            (3, -1, "code -1 out of range for length 3"),
+        ]
+        for n, code, message in refused:
+            with pytest.raises(ValueError) as caught:
+                gap_statistics(n, code)
+            assert str(caught.value) == message
 
 
 class TestEnumerate:
     def test_n1(self):
-        assert [str(s) for s in enumerate_all(1)] == ["R", "B"]
+        assert [text(1, code) for code in enumerate_all(1)] == ["R", "B"]
 
     def test_n2(self):
-        assert [str(s) for s in enumerate_all(2)] == ["RR", "RB", "BR", "BB"]
+        assert [text(2, code) for code in enumerate_all(2)] == ["RR", "RB", "BR", "BB"]
 
     def test_n10_stream_length(self):
         assert sum(1 for _ in enumerate_all(10)) == 1024
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_count_distinct_and_order(self, n):
-        seqs = list(enumerate_all(n))
-        assert len(seqs) == 2**n
-        assert len(set(seqs)) == 2**n
-        texts = [str(s) for s in seqs]
+        codes = list(enumerate_all(n))
+        assert len(codes) == 2**n
+        assert len(set(codes)) == 2**n
+        texts = [text(n, code) for code in codes]
         assert texts == sorted(texts, key=lambda t: [c == "B" for c in t])
 
     def test_invalid_lengths(self):
@@ -77,21 +87,21 @@ class TestEnumerate:
 
 class TestGapStatistics:
     def test_brb(self):
-        stats = gap_statistics(seq("BRB"))
+        stats = gap_statistics(*seq("BRB"))
         assert (stats.first_b, stats.last_b, stats.gap) == (1, 3, 2)
 
     def test_rbr(self):
-        stats = gap_statistics(seq("RBR"))
+        stats = gap_statistics(*seq("RBR"))
         assert (stats.first_b, stats.last_b, stats.gap) == (2, 2, 0)
 
     def test_no_b_is_absent_not_error(self):
-        assert gap_statistics(seq("RRR")) is None
+        assert gap_statistics(*seq("RRR")) is None
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_against_string_oracle(self, n):
-        for text in all_texts(n):
-            stats = gap_statistics(seq(text))
-            expected = string_gap(text)
+        for t in all_texts(n):
+            stats = gap_statistics(*seq(t))
+            expected = string_gap(t)
             if expected is None:
                 assert stats is None
             else:
@@ -99,8 +109,8 @@ class TestGapStatistics:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_gap_bounds_and_zero_iff_single_position(self, n):
-        for seq in enumerate_all(n):
-            stats = gap_statistics(seq)
+        for code in enumerate_all(n):
+            stats = gap_statistics(n, code)
             if stats is None:
                 continue
             assert 0 <= stats.gap <= n - 1
@@ -116,8 +126,8 @@ class TestCountByGap:
         from collections import Counter
 
         oracle = Counter()
-        for seq in enumerate_all(4):
-            stats = gap_statistics(seq)
+        for code in enumerate_all(4):
+            stats = gap_statistics(4, code)
             if stats is not None:
                 oracle[stats.gap] += 1
         assert dict(oracle) == {0: 4, 1: 3, 2: 4, 3: 4}

@@ -538,6 +538,22 @@ MUTANTS = (
         (f"{LEADING_MARK}[bfile]",),
     ),
     Mutant(
+        "a stdout write error escapes main",
+        "gaptri/cli.py",
+        "    except OSError as exc:\n"
+        "        # stdout cannot take the report",
+        "    except TypeError as exc:\n"
+        "        # stdout cannot take the report",
+        ("tests/test_cli.py::TestModuleEntryPoint::test_stdout_write_error_exits_2",),
+    ),
+    Mutant(
+        "gap_statistics accepts a code past 2**n",
+        "gaptri/sequences.py",
+        "code.bit_length() > n:",
+        "code.bit_length() > n + 1:",
+        ("tests/test_sequences.py::TestParse::test_no_third_symbol_representable",),
+    ),
+    Mutant(
         "an error keeps no fields",
         "gaptri/errors.py",
         "            vars(self).update(zip(self.fields, args))\n",
